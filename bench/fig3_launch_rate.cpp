@@ -43,17 +43,13 @@ struct RealMeasurement {
 /// (N dispatcher threads, each with its own executor shard and poll set).
 RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
                                   const std::string& command = "/bin/true {}",
-                                  std::size_t dispatchers = 1,
-                                  bool zygote = false) {
+                                  std::size_t dispatchers = 1) {
   using namespace parcl;
   core::Options options;
   options.jobs = jobs;
   options.dispatchers = dispatchers;
-  options.zygote = zygote;
   options.output_mode = core::OutputMode::kUngroup;  // no pipes: pure spawn cost
-  exec::SpawnTuning tuning;
-  tuning.zygote = zygote;
-  exec::LocalExecutor executor{tuning};
+  exec::LocalExecutor executor;
   std::ostringstream sink_out, sink_err;
   core::Engine engine(options, executor, sink_out, sink_err);
   std::vector<core::ArgVector> inputs;
@@ -158,25 +154,22 @@ int main() {
   // workload. The speedup is core-count-bound — on a single-core host the
   // shards serialize and the ratio hovers near 1.0; the BENCH_throughput
   // numbers carry `cores` so a floor guard can judge them in context.
+  // 5,000 jobs per side keep dispatcher-thread start-up out of the ratio.
+  constexpr std::size_t kShardJobs = 5000;
   std::size_t cores = std::thread::hardware_concurrency();
   if (cores == 0) cores = 1;
   std::size_t shard_count = std::min<std::size_t>(4, std::max<std::size_t>(2, cores));
   std::cout << "(a2) sharded dispatch (" << cores << " cores):\n";
   util::Table shard_table({"dispatchers", "launches_per_s", "speedup"});
-  RealMeasurement serial = measure_real_rate(600, 64, "/bin/true {}", 1);
+  RealMeasurement serial =
+      measure_real_rate(kShardJobs, 64, "/bin/true {}", 1);
   shard_table.add_row({"1 (serial)", util::format_double(serial.rate, 0), "1.00"});
   RealMeasurement sharded =
-      measure_real_rate(600, 64, "/bin/true {}", shard_count);
+      measure_real_rate(kShardJobs, 64, "/bin/true {}", shard_count);
   double speedup = serial.rate > 0.0 ? sharded.rate / serial.rate : 0.0;
   shard_table.add_row({std::to_string(shard_count),
                        util::format_double(sharded.rate, 0),
                        util::format_double(speedup, 2)});
-  RealMeasurement zygote =
-      measure_real_rate(600, 64, "/bin/true {}", shard_count, /*zygote=*/true);
-  shard_table.add_row({std::to_string(shard_count) + " +zygote",
-                       util::format_double(zygote.rate, 0),
-                       util::format_double(
-                           serial.rate > 0.0 ? zygote.rate / serial.rate : 0.0, 2)});
   std::cout << shard_table.render() << '\n';
 
   struct rusage usage {};
@@ -186,7 +179,6 @@ int main() {
   throughput.set("fig3_throughput", "dispatchers", static_cast<double>(shard_count));
   throughput.set("fig3_throughput", "launches_per_s_serial", serial.rate);
   throughput.set("fig3_throughput", "launches_per_s_sharded", sharded.rate);
-  throughput.set("fig3_throughput", "launches_per_s_sharded_zygote", zygote.rate);
   throughput.set("fig3_throughput", "sharded_speedup", speedup);
   throughput.set("fig3_throughput", "dispatcher_threads_engaged",
                  static_cast<double>(sharded.dispatcher_threads));

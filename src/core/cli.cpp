@@ -244,8 +244,6 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
       long count = util::parse_long(take_value(argv, i, arg));
       if (count < 0) throw util::ParseError("--dispatchers must be >= 0");
       plan.options.dispatchers = static_cast<std::size_t>(count);
-    } else if (arg == "--zygote") {
-      plan.options.zygote = true;
     } else if (arg == "--joblog") {
       plan.options.joblog_path = take_value(argv, i, arg);
     } else if (arg == "--joblog-fsync") {
@@ -605,8 +603,6 @@ options:
                       slot range and poll set (0 = auto: min(4, hardware
                       threads); 1 = serial). Falls back to the serial loop
                       when the backend or feature set cannot shard
-      --zygote        prefork a spawn helper per dispatcher so direct-exec
-                      jobs fork from a small address space (local runs)
       --joblog PATH   append a GNU-Parallel-format job log
       --joblog-fsync  fsync the joblog after every record
       --joblog-flush SIZE

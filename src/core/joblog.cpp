@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -118,10 +119,14 @@ std::size_t JoblogWriter::pending_rows() const noexcept {
 }
 
 void JoblogWriter::record(const JobResult& result, const std::string& host) {
+  // JobRuntime is the difference of the millisecond-rounded endpoints, so
+  // Starttime + JobRuntime is the rounded end time: a job that started after
+  // another ended can never appear to overlap it in the log.
+  double start = std::round(result.start_time * 1e3) / 1e3;
+  double end = std::round(result.end_time * 1e3) / 1e3;
   std::ostringstream row;
-  row << result.seq << '\t' << host << '\t'
-      << util::format_double(result.start_time, 3) << '\t'
-      << util::format_double(result.runtime(), 3) << '\t' << 0 << '\t'
+  row << result.seq << '\t' << host << '\t' << util::format_double(start, 3)
+      << '\t' << util::format_double(end - start, 3) << '\t' << 0 << '\t'
       << result.stdout_data.size() << '\t' << result.exit_code << '\t'
       << result.term_signal << '\t' << result.command << '\n';
   if (impl_->flush_bytes == 0) {

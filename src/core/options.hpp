@@ -33,12 +33,6 @@ struct Options {
   /// --load, --hedge, and adaptive --timeout N% all fall back to serial).
   std::size_t dispatchers = 0;
 
-  /// --zygote: prefork a small spawn helper per dispatcher shard and serve
-  /// shell-bypass-eligible commands from it over a SOCK_SEQPACKET pipe, so
-  /// each job forks from a tiny address space instead of the full parcl
-  /// process. LocalExecutor only; silently inert elsewhere.
-  bool zygote = false;
-
   /// --joblog-flush BYTES: batch joblog rows in memory and append them with
   /// one write() once this many bytes are pending (0 = write every row
   /// immediately, the crash-safest setting). Batching preserves the

@@ -1,6 +1,7 @@
 #include "core/profile.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -11,8 +12,6 @@ namespace parcl::core {
 void DispatchCounters::merge(const DispatchCounters& other) noexcept {
   spawns += other.spawns;
   direct_execs += other.direct_execs;
-  clone3_spawns += other.clone3_spawns;
-  zygote_spawns += other.zygote_spawns;
   spawn_seconds += other.spawn_seconds;
   reaps += other.reaps;
   reap_sweeps += other.reap_sweeps;
@@ -46,8 +45,7 @@ double DispatchCounters::events_per_poll() const noexcept {
 std::string DispatchCounters::render() const {
   std::ostringstream out;
   out << "spawns           " << spawns << " (" << direct_execs
-      << " direct-exec, " << clone3_spawns << " clone3, " << zygote_spawns
-      << " zygote), mean " << util::format_double(mean_spawn_us(), 1)
+      << " direct-exec), mean " << util::format_double(mean_spawn_us(), 1)
       << " us\n"
       << "reaps            " << reaps << " (" << reap_sweeps << " sweeps)\n"
       << "polls            " << polls << ", " << poll_events << " events ("
@@ -161,8 +159,13 @@ ParallelProfile profile_run(const RunSummary& summary) {
 ParallelProfile profile_joblog(const std::vector<JoblogEntry>& entries) {
   std::vector<Interval> intervals;
   intervals.reserve(entries.size());
+  // Joblog times have millisecond resolution. Snapping both ends to that
+  // grid keeps float error in start + runtime from ordering an end after a
+  // start logged at the same millisecond.
+  auto snap = [](double seconds) { return std::round(seconds * 1e3) / 1e3; };
   for (const JoblogEntry& entry : entries) {
-    intervals.push_back({entry.start_time, entry.start_time + entry.runtime});
+    intervals.push_back(
+        {snap(entry.start_time), snap(entry.start_time + entry.runtime)});
   }
   return profile_intervals(std::move(intervals));
 }

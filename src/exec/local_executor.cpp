@@ -19,7 +19,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "exec/spawn_path.hpp"
 #include "util/error.hpp"
 #include "util/shell.hpp"
 
@@ -102,8 +101,7 @@ bool shell_bypass_safe(const std::string& command) {
 
 }  // namespace
 
-LocalExecutor::LocalExecutor(SpawnTuning tuning)
-    : tuning_(tuning), epoch_(monotonic_seconds()) {
+LocalExecutor::LocalExecutor() : epoch_(monotonic_seconds()) {
   // A child dying while we are mid-write to a closed pipe must not kill us.
   // Children get the default disposition back through posix_spawn's sigdefault
   // set; our own prior disposition is restored on destruction.
@@ -111,25 +109,12 @@ LocalExecutor::LocalExecutor(SpawnTuning tuning)
   ignore.sa_handler = SIG_IGN;
   sigemptyset(&ignore.sa_mask);
   if (sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) sigpipe_saved_ = true;
-  // The zygote must fork before any job pipes exist: fork ignores O_CLOEXEC,
-  // so a helper forked mid-run would inherit live pipe write ends and hold
-  // the client's EOF hostage. Constructing it here (and in make_shard) keeps
-  // its address space minimal too — that is the whole point of the zygote.
-  if (tuning_.zygote) {
-    zygote_tried_ = true;
-    zygote_ = Zygote::create();
-  }
 }
 
-LocalExecutor::LocalExecutor(SpawnTuning tuning, double epoch, bool shard_mode)
-    : shard_mode_(shard_mode), tuning_(tuning), epoch_(epoch) {
-  // Shards leave process-global signal dispositions alone: the parent
-  // instance already holds SIGPIPE ignored for the whole process.
-  if (tuning_.zygote) {
-    zygote_tried_ = true;
-    zygote_ = Zygote::create();
-  }
-}
+// Shards leave process-global signal dispositions alone: the parent instance
+// already holds SIGPIPE ignored for the whole process.
+LocalExecutor::LocalExecutor(double epoch, bool shard_mode)
+    : shard_mode_(shard_mode), epoch_(epoch) {}
 
 std::unique_ptr<core::Executor> LocalExecutor::make_shard() {
   // A shard cannot use the SIGCHLD self-pipe (sigaction is process-global
@@ -145,7 +130,7 @@ std::unique_ptr<core::Executor> LocalExecutor::make_shard() {
   }
   close(probe);
   return std::unique_ptr<core::Executor>(
-      new LocalExecutor(tuning_, epoch_, /*shard_mode=*/true));
+      new LocalExecutor(epoch_, /*shard_mode=*/true));
 }
 
 LocalExecutor::~LocalExecutor() {
@@ -240,91 +225,52 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   for (auto& word : argv_storage) argv.push_back(word.data());
   argv.push_back(nullptr);
 
-  pid_t pid = -1;
-  int spawned_pidfd = -1;  // from clone3/zygote: arrives with the pid
-  bool fast_spawned = false;
-  if (tuning_.path != SpawnTuning::Path::kPosixSpawn) {
-    SpawnTarget target;
-    target.argv = argv.data();
-    target.envp = envp == environ ? nullptr : envp;
-    target.stdin_fd = request.has_stdin ? in_pipe[0] : -1;
-    target.stdout_fd = request.capture_output ? out_pipe[1] : -1;
-    target.stderr_fd = request.capture_output ? err_pipe[1] : -1;
-    try {
-      // Zygote first (direct argv only — it has no shell), then clone3;
-      // a nullopt from either means "fall through", not "job failed". The
-      // helper was preforked at construction, before any job pipe existed.
-      if (direct && zygote_) {
-        if (auto spawned = zygote_->spawn(target)) {
-          pid = spawned->pid;
-          spawned_pidfd = spawned->pidfd;
-          fast_spawned = true;
-          ++counters_.zygote_spawns;
-        }
-      }
-      if (!fast_spawned) {
-        if (auto spawned = clone3_spawn(target)) {
-          pid = spawned->pid;
-          spawned_pidfd = spawned->pidfd;
-          fast_spawned = true;
-          ++counters_.clone3_spawns;
-        }
-      }
-    } catch (...) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
-      throw;
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  if (request.has_stdin) {
+    posix_spawn_file_actions_adddup2(&actions, in_pipe[0], STDIN_FILENO);
+    if (in_pipe[0] != STDIN_FILENO) {
+      posix_spawn_file_actions_addclose(&actions, in_pipe[0]);
+    }
+  } else {
+    posix_spawn_file_actions_addopen(&actions, STDIN_FILENO, "/dev/null",
+                                     O_RDONLY, 0);
+  }
+  if (request.capture_output) {
+    posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
+    posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
+    if (out_pipe[1] != STDOUT_FILENO) {
+      posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
+    }
+    if (err_pipe[1] != STDERR_FILENO) {
+      posix_spawn_file_actions_addclose(&actions, err_pipe[1]);
     }
   }
 
-  if (!fast_spawned) {
-    posix_spawn_file_actions_t actions;
-    posix_spawn_file_actions_init(&actions);
-    if (request.has_stdin) {
-      posix_spawn_file_actions_adddup2(&actions, in_pipe[0], STDIN_FILENO);
-      if (in_pipe[0] != STDIN_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, in_pipe[0]);
-      }
-    } else {
-      posix_spawn_file_actions_addopen(&actions, STDIN_FILENO, "/dev/null",
-                                       O_RDONLY, 0);
-    }
-    if (request.capture_output) {
-      posix_spawn_file_actions_adddup2(&actions, out_pipe[1], STDOUT_FILENO);
-      posix_spawn_file_actions_adddup2(&actions, err_pipe[1], STDERR_FILENO);
-      if (out_pipe[1] != STDOUT_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, out_pipe[1]);
-      }
-      if (err_pipe[1] != STDERR_FILENO) {
-        posix_spawn_file_actions_addclose(&actions, err_pipe[1]);
-      }
-    }
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  // New process group (kill() signals the whole pipeline) and default
+  // SIGPIPE in the child despite our own SIG_IGN.
+  sigset_t defaults;
+  sigemptyset(&defaults);
+  sigaddset(&defaults, SIGPIPE);
+  posix_spawnattr_setsigdefault(&attr, &defaults);
+  posix_spawnattr_setpgroup(&attr, 0);
+  posix_spawnattr_setflags(&attr,
+                           POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF);
 
-    posix_spawnattr_t attr;
-    posix_spawnattr_init(&attr);
-    // New process group (kill() signals the whole pipeline) and default
-    // SIGPIPE in the child despite our own SIG_IGN.
-    sigset_t defaults;
-    sigemptyset(&defaults);
-    sigaddset(&defaults, SIGPIPE);
-    posix_spawnattr_setsigdefault(&attr, &defaults);
-    posix_spawnattr_setpgroup(&attr, 0);
-    posix_spawnattr_setflags(&attr,
-                             POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF);
-
-    int rc = direct ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
-                                   const_cast<char* const*>(envp))
-                    : posix_spawn(&pid, "/bin/sh", &actions, &attr, argv.data(),
-                                  const_cast<char* const*>(envp));
-    posix_spawn_file_actions_destroy(&actions);
-    posix_spawnattr_destroy(&attr);
-    if (rc != 0) {
-      close_pair(out_pipe);
-      close_pair(err_pipe);
-      close_pair(in_pipe);
-      throw util::SystemError("posix_spawn", rc);
-    }
+  pid_t pid = -1;
+  int rc = direct ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
+                                 const_cast<char* const*>(envp))
+                  : posix_spawn(&pid, "/bin/sh", &actions, &attr, argv.data(),
+                                const_cast<char* const*>(envp));
+  posix_spawn_file_actions_destroy(&actions);
+  posix_spawnattr_destroy(&attr);
+  if (rc != 0) {
+    close_pair(out_pipe);
+    close_pair(err_pipe);
+    close_pair(in_pipe);
+    throw util::SystemError("posix_spawn " + argv_storage[0], rc);
   }
 
   Child child;
@@ -345,9 +291,9 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     child.in_buffer = request.stdin_data;
   }
 
-  if (fast_spawned) {
-    child.pidfd = spawned_pidfd;  // CLONE_PIDFD fds are born O_CLOEXEC
-  } else if (!pidfd_disabled().load(std::memory_order_relaxed)) {
+  // Race-free: the child stays unreaped (its pid cannot be recycled) until
+  // this executor's own waitpid(pid), which only runs after this point.
+  if (!pidfd_disabled().load(std::memory_order_relaxed)) {
     child.pidfd = pidfd_open_compat(pid);
     if (child.pidfd >= 0) {
       set_cloexec(child.pidfd);  // pidfd_open sets it; belt and braces

@@ -30,26 +30,12 @@
 #include "core/executor.hpp"
 #include "core/profile.hpp"
 #include "exec/host_probe.hpp"
-#include "exec/spawn_path.hpp"
 
 namespace parcl::exec {
 
-/// How LocalExecutor creates children.
-struct SpawnTuning {
-  enum class Path {
-    kAuto,        // clone3(CLONE_PIDFD) when the kernel has it, else posix_spawn
-    kPosixSpawn,  // force the portable path (benchmarks, debugging)
-  };
-  Path path = Path::kAuto;
-  /// Route shell-bypass-eligible commands through a preforked zygote helper
-  /// (--zygote): children fork from the helper's small address space instead
-  /// of the full parcl process. Falls back transparently per spawn.
-  bool zygote = false;
-};
-
 class LocalExecutor final : public core::Executor {
  public:
-  explicit LocalExecutor(SpawnTuning tuning = {});
+  LocalExecutor();
   /// Kills (SIGKILL) and reaps any children still running.
   ~LocalExecutor() override;
   LocalExecutor(const LocalExecutor&) = delete;
@@ -84,8 +70,8 @@ class LocalExecutor final : public core::Executor {
   double spawn_seconds() const noexcept { return counters_.spawn_seconds; }
 
  private:
-  /// Shard constructor: inherits the parent's clock epoch and tuning.
-  LocalExecutor(SpawnTuning tuning, double epoch, bool shard_mode);
+  /// Shard constructor: inherits the parent's clock epoch.
+  LocalExecutor(double epoch, bool shard_mode);
 
   struct Child {
     pid_t pid = -1;
@@ -162,10 +148,6 @@ class LocalExecutor final : public core::Executor {
 
   struct sigaction saved_sigpipe_ {};
   bool sigpipe_saved_ = false;
-
-  SpawnTuning tuning_;
-  std::unique_ptr<Zygote> zygote_;
-  bool zygote_tried_ = false;  // create() attempted (it may have failed)
 
   double epoch_ = 0.0;
   core::DispatchCounters counters_;

@@ -1,5 +1,6 @@
 #include "exec/multi_executor.hpp"
 
+#include <errno.h>
 #include <time.h>
 
 #include <chrono>
@@ -20,6 +21,22 @@ double monotonic_seconds() {
 void nap_2ms() {
   struct timespec ts{0, 2'000'000};
   nanosleep(&ts, nullptr);
+}
+
+/// errno values with which exec(2) rejects the program itself: a missing,
+/// non-executable or malformed binary or path.
+bool exec_rejects_program(int errno_value) {
+  switch (errno_value) {
+    case ENOENT:
+    case EACCES:
+    case ENOEXEC:
+    case ENOTDIR:
+    case ELOOP:
+    case ENAMETOOLONG:
+      return true;
+    default:
+      return false;
+  }
 }
 }  // namespace
 
@@ -180,10 +197,20 @@ void MultiExecutor::start(const core::ExecRequest& request) {
   if (host.pilot == nullptr) routed.command = wrap_command(host, request.command);
   try {
     host.executor->start(routed);
-  } catch (const util::SystemError&) {
-    // A host-level spawn error is evidence against the host, not the job:
-    // classify it and convert it into a synthetic completion so the engine's
-    // free-reschedule path handles it like any other host failure.
+  } catch (const util::SystemError& error) {
+    // A plain local host execs the job's own argv[0], so exec rejecting that
+    // program (e.g. a missing binary) is the job's fault, not the host's:
+    // let the engine count it as a failed attempt (exit 127, charged to
+    // --retries) instead of quarantining the machine and killing its
+    // healthy jobs.
+    if (host.spec.wrapper.empty() && host.pilot == nullptr &&
+        exec_rejects_program(error.errno_value())) {
+      throw;
+    }
+    // Any other spawn error (a failing wrapper or pilot, a full process
+    // table) is evidence against the host, not the job: classify it and
+    // convert it into a synthetic completion so the engine's free-reschedule
+    // path handles it like any other host failure.
     if (health_.record_host_failure(host_index, now())) {
       abandon_in_flight(host_index);
     }

@@ -300,6 +300,87 @@ TEST(ParclCli, SpawnFailureRetriesAndCountsAsFailure) {
   EXPECT_EQ(result.exit_code, 2) << result.output;
 }
 
+TEST(ParclCli, MissingBinaryWarnsOncePerJobNamingIt) {
+  // A direct-exec command whose binary does not exist fails in posix_spawnp.
+  // Each job must log Exitval 127, count as failed, and warn once with the
+  // binary's name, on the serial loop and under sharded dispatch alike.
+  for (const std::string dispatchers : {"1", "2"}) {
+    SCOPED_TRACE("--dispatchers " + dispatchers);
+    std::string log_path =
+        ::testing::TempDir() + "parcl_cli_missing_" + dispatchers + ".tsv";
+    std::remove(log_path.c_str());
+    CommandResult result = run_command(
+        parcl() + " --dispatchers " + dispatchers + " --joblog " + log_path +
+        " '/nonexistent/x {}' ::: a b c");
+    EXPECT_EQ(result.exit_code, 3) << result.output;
+    auto warnings = parcl::util::split_lines(result.output);
+    EXPECT_EQ(warnings.size(), 3u) << result.output;
+    for (const auto& line : warnings) {
+      EXPECT_NE(line.find("/nonexistent/x"), std::string::npos) << line;
+    }
+    std::ifstream in(log_path);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    auto rows = parcl::util::split_lines(content);
+    ASSERT_EQ(rows.size(), 4u) << content;  // header + 3 rows
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      EXPECT_NE(rows[i].find("\t127\t0\t"), std::string::npos) << rows[i];
+    }
+    std::remove(log_path.c_str());
+  }
+}
+
+TEST(ParclCli, MissingBinaryOnALocalHostFailsTheJobNotTheHost) {
+  // On a plain local -S host the missing binary is the job's fault: every
+  // job logs Exitval 127 and counts as failed, instead of being charged to
+  // the host as a lost job (Exitval 255) that quarantines this machine.
+  std::string log_path = ::testing::TempDir() + "parcl_cli_missing_host.tsv";
+  std::remove(log_path.c_str());
+  // Bounded: a quarantined lone host would otherwise wait out its probes.
+  CommandResult result = run_command(
+      "timeout 30 " + parcl() + " -S 2/: --joblog " + log_path +
+      " '/nonexistent/x {}' ::: a b c");
+  EXPECT_EQ(result.exit_code, 3) << result.output;
+  std::ifstream in(log_path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  auto rows = parcl::util::split_lines(content);
+  ASSERT_EQ(rows.size(), 4u) << content;  // header + 3 rows
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_NE(rows[i].find("\t127\t0\t"), std::string::npos) << rows[i];
+  }
+  std::remove(log_path.c_str());
+}
+
+TEST(ParclCli, MissingBinaryOnALocalHostSparesItsRunningSibling) {
+  // A healthy job shares the local host with four spawn failures, more than
+  // the default quarantine threshold (3). It must run to completion, not be
+  // killed as a stranded job of a condemned host.
+  std::string log_path = ::testing::TempDir() + "parcl_cli_missing_sibling.tsv";
+  std::remove(log_path.c_str());
+  CommandResult result = run_command(
+      "timeout 30 " + parcl() + " -S 2/: --joblog " + log_path +
+      " '{} 0.5' ::: /bin/sleep /nonexistent/x /nonexistent/x /nonexistent/x"
+      " /nonexistent/x");
+  EXPECT_EQ(result.exit_code, 4) << result.output;
+  std::ifstream in(log_path);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  auto rows = parcl::util::split_lines(content);
+  ASSERT_EQ(rows.size(), 6u) << content;  // header + 5 rows
+  std::size_t sleeps = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    if (rows[i].find("/bin/sleep") != std::string::npos) {
+      ++sleeps;
+      EXPECT_NE(rows[i].find("\t0\t0\t/bin/sleep"), std::string::npos) << rows[i];
+    } else {
+      EXPECT_NE(rows[i].find("\t127\t0\t"), std::string::npos) << rows[i];
+    }
+  }
+  EXPECT_EQ(sleeps, 1u) << content;
+  std::remove(log_path.c_str());
+}
+
 TEST(ParclCli, SemaphoreRunsCommandVerbatim) {
   CommandResult result = run_command(
       parcl() + " --semaphore --id cli_test_sem -j2 echo sem-ran");

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/profile.hpp"
 #include "util/error.hpp"
 
 namespace parcl::core {
@@ -49,6 +50,28 @@ TEST_F(JoblogTest, WriteThenReadRoundTrip) {
   EXPECT_DOUBLE_EQ(entries[0].runtime, 2.5);
   EXPECT_EQ(entries[0].command, "echo 1");
   EXPECT_EQ(entries[1].exit_value, 1);
+}
+
+TEST_F(JoblogTest, BackToBackJobsDoNotOverlapWhenProfiled) {
+  // Each job starts after the previous one ended. Seq 1's endpoints round
+  // up and its runtime rounds up too when each is rounded on its own; seq 3
+  // ends where 2.0 + 0.131 exceeds 2.131 in floating point. Neither may make
+  // the profile count two jobs at once.
+  const double spans[][2] = {
+      {0.0006, 1.1012}, {1.1013, 1.5}, {2.0, 2.131}, {2.131, 3.0}};
+  {
+    JoblogWriter writer(path_);
+    std::uint64_t seq = 0;
+    for (const auto& span : spans) {
+      JobResult result = make_result(++seq, 0);
+      result.start_time = span[0];
+      result.end_time = span[1];
+      writer.record(result, ":");
+    }
+  }
+  ParallelProfile profile = profile_joblog(read_joblog(path_));
+  EXPECT_EQ(profile.jobs, 4u);
+  EXPECT_EQ(profile.peak_concurrency, 1u);
 }
 
 TEST_F(JoblogTest, AppendDoesNotDuplicateHeader) {

@@ -5,11 +5,14 @@
 // after the merge.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,8 +49,6 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   DispatchCounters a, b;
   a.spawns = 3;           b.spawns = 5;
   a.direct_execs = 1;     b.direct_execs = 2;
-  a.clone3_spawns = 2;    b.clone3_spawns = 4;
-  a.zygote_spawns = 1;    b.zygote_spawns = 1;
   a.spawn_seconds = 0.25; b.spawn_seconds = 0.75;
   a.reaps = 3;            b.reaps = 5;
   a.reap_sweeps = 1;      b.reap_sweeps = 0;
@@ -67,8 +68,6 @@ TEST(DispatchCounters, MergeSumsEveryField) {
   a.merge(b);
   EXPECT_EQ(a.spawns, 8u);
   EXPECT_EQ(a.direct_execs, 3u);
-  EXPECT_EQ(a.clone3_spawns, 6u);
-  EXPECT_EQ(a.zygote_spawns, 2u);
   EXPECT_DOUBLE_EQ(a.spawn_seconds, 1.0);
   EXPECT_EQ(a.reaps, 8u);
   EXPECT_EQ(a.reap_sweeps, 1u);
@@ -310,25 +309,35 @@ TEST(ShardedDispatch, SecondInterruptWalksTermseqAfterQuiesce) {
   EXPECT_TRUE(testing::no_unreaped_children());
 }
 
-TEST(ShardedDispatch, ZygoteServesShardedSpawns) {
-  // --zygote + --dispatchers: each shard preforks its own helper; direct
-  // exec-eligible commands route through it and the counter records them.
-  constexpr int kJobs = 24;
+TEST(ShardedDispatch, ChildrenInheritOnlyTheirStdio) {
+  // Four shards spawn concurrently while each holds pipe ends and pidfds of
+  // its own in-flight children. Every child must see fds 0-2 and nothing
+  // else but the directory fd ls opens (3): a sibling's pipe end or pidfd
+  // leaking across a concurrent spawn shows up as an extra entry. Fds this
+  // test process inherited from its launcher are not the engine's, so they
+  // are marked close-on-exec first.
+  if (DIR* dir = opendir("/proc/self/fd")) {
+    while (dirent* entry = readdir(dir)) {
+      int fd = std::atoi(entry->d_name);
+      if (fd > 2 && fd != dirfd(dir)) fcntl(fd, F_SETFD, FD_CLOEXEC);
+    }
+    closedir(dir);
+  }
+  constexpr int kJobs = 200;
   Options options = sharded_options(4);
-  options.zygote = true;
-  exec::SpawnTuning tuning;
-  tuning.zygote = true;
-  exec::LocalExecutor executor{tuning};
+  options.jobs = 16;
+  options.output_mode = OutputMode::kKeepOrder;
+  exec::LocalExecutor executor;
   std::ostringstream out, err;
   Engine engine(options, executor, out, err);
-  RunSummary summary = engine.run("/bin/echo z-{}", numbered_inputs(kJobs));
+  RunSummary summary = engine.run("/usr/bin/env JOB={} /bin/ls /proc/self/fd",
+                                  numbered_inputs(kJobs));
   EXPECT_EQ(summary.succeeded, static_cast<std::size_t>(kJobs));
-  EXPECT_EQ(summary.dispatch.spawns, static_cast<std::uint64_t>(kJobs));
-  EXPECT_EQ(summary.dispatch.reaps, summary.dispatch.spawns);
-  EXPECT_GT(summary.dispatch.zygote_spawns, 0u);
-  for (int i = 0; i < kJobs; ++i) {
-    EXPECT_NE(out.str().find("z-" + std::to_string(i)), std::string::npos);
-  }
+  EXPECT_EQ(summary.dispatch.dispatcher_threads, 4u);
+  std::string expected;
+  for (int i = 0; i < kJobs; ++i) expected += "0\n1\n2\n3\n";
+  EXPECT_EQ(out.str(), expected);
+  EXPECT_EQ(err.str(), "");
 }
 
 TEST(ShardedDispatch, AutoModeStaysSerialForSmallRuns) {
