@@ -39,8 +39,8 @@ struct RealMeasurement {
 /// LocalExecutor, return launches/s plus the executor's hot-path counters.
 /// `command` defaults to the bypass-eligible "/bin/true {}"; appending a
 /// shell metacharacter (" ;") forces the /bin/sh path for comparison.
-/// `dispatchers` 1 pins the serial loop; N >= 2 requests the sharded core
-/// (N dispatcher threads, each with its own executor shard and poll set).
+/// `dispatchers` 1 pins the serial loop; N >= 2 requests sharded dispatch
+/// (N shard threads, each with its own executor shard and poll set).
 RealMeasurement measure_real_rate(std::size_t n, std::size_t jobs,
                                   const std::string& command = "/bin/true {}",
                                   std::size_t dispatchers = 1) {

@@ -599,10 +599,10 @@ options:
                       median runtime onto another host; first success
                       wins (0 = off)
       --dry-run       print composed commands, do not run
-      --dispatchers N shard dispatch across N threads, each with its own
-                      slot range and poll set (0 = auto: min(4, hardware
-                      threads); 1 = serial). Falls back to the serial loop
-                      when the backend or feature set cannot shard
+      --dispatchers N spawn and reap on N threads, each with its own
+                      poll set, under one engine loop (0 = auto: min(4,
+                      hardware threads) from -j32 up; 1 = unsharded).
+                      Unsharded when the backend cannot shard
       --joblog PATH   append a GNU-Parallel-format job log
       --joblog-fsync  fsync the joblog after every record
       --joblog-flush SIZE

@@ -19,6 +19,7 @@
 #include "core/output.hpp"
 #include "core/retry_ledger.hpp"
 #include "core/scheduler.hpp"
+#include "core/shard_pool.hpp"
 #include "core/signal_coordinator.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -123,10 +124,10 @@ RunSummary Engine::run_raw(const CommandTemplate& command, std::size_t count) {
   return execute(command, source);
 }
 
-RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
+RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& input) {
   // Dependency-aware sources gate their own next(): jobs materialize as
   // predecessors complete, and the engine feeds completion events back.
-  DagSource* dag = dynamic_cast<DagSource*>(&source);
+  DagSource* dag = dynamic_cast<DagSource*>(&input);
   if (dag != nullptr) {
     if (options_.shuffle) {
       throw util::ConfigError("--shuf cannot reorder a dependency graph");
@@ -138,26 +139,33 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     }
   }
 
-  // Sharded fast path: when the option set permits it and the backend can
-  // shard, hand the run to the multi-threaded dispatch core. Any shard the
-  // backend refuses routes the whole run back to this serial loop. DAG
-  // runs always take the serial loop: the ready-queue is fed by completion
-  // events, which the per-shard dispatchers do not exchange (the same
-  // fallback shape elastic backends use).
-  if (std::size_t n = dag == nullptr ? sharded_shard_count() : 1; n >= 2) {
+  // Sharded dispatch: this loop still makes every decision, but starts and
+  // waits go to a ShardPool of backend shards, and a read-ahead thread keeps
+  // input off the loop (a DAG source is fed by completions, so it is pulled
+  // directly). Auto mode only shards runs wide enough to pay for the
+  // threads; an explicit --dispatchers N engages at any width, as long as
+  // the backend makes every shard.
+  std::unique_ptr<ShardPool> pool;
+  std::unique_ptr<PrefetchSource> prefetch;
+  const std::size_t shard_count = options_.effective_dispatchers();
+  if (!options_.dry_run && shard_count >= 2 &&
+      (options_.dispatchers != 0 || options_.effective_jobs() >= 32)) {
     std::vector<std::unique_ptr<Executor>> shards;
-    shards.reserve(n);
-    bool sharded = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      auto shard = executor_.make_shard();
-      if (shard == nullptr) {
-        sharded = false;
-        break;
-      }
+    for (std::size_t i = 0; i < shard_count; ++i) {
+      std::unique_ptr<Executor> shard = executor_.make_shard();
+      if (shard == nullptr) break;
       shards.push_back(std::move(shard));
     }
-    if (sharded) return execute_sharded(tmpl, source, std::move(shards));
+    if (shards.size() == shard_count) {
+      pool = std::make_unique<ShardPool>(executor_, std::move(shards));
+      if (dag == nullptr) {
+        prefetch = std::make_unique<PrefetchSource>(
+            input, std::max<std::size_t>(4 * options_.effective_jobs(), 128));
+      }
+    }
   }
+  Executor& exec = pool ? static_cast<Executor&>(*pool) : executor_;
+  JobSource& source = prefetch ? static_cast<JobSource&>(*prefetch) : input;
 
   RunSummary summary;
   const bool collect = options_.collect_results;
@@ -423,7 +431,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     return summary;
   }
 
-  Scheduler scheduler(options_, executor_);
+  Scheduler scheduler(options_, exec);
   if (dag != nullptr) {
     // Per-stage concurrency caps gate both the scheduler's starts and the
     // source's pulls (a stage at its cap must not head-of-line block the
@@ -435,7 +443,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       return scheduler.stage_allows(stage);
     };
   }
-  RetryLedger ledger(options_, executor_);
+  RetryLedger ledger(options_, exec);
   std::unordered_map<std::uint64_t, ActiveAttempt> active;  // job_id -> attempt
   active.reserve(options_.effective_jobs() * 2);
   std::uint64_t next_job_id = 1;
@@ -674,32 +682,160 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     if (action == Scheduler::HaltAction::kKillRunning) {
       for (auto& [id, running] : active) {
         running.killed_for_halt = true;
-        executor_.kill(id, /*force=*/false);
+        exec.kill(id, /*force=*/false);
       }
     }
   };
 
-  auto start_one = [&](PendingJob job) {
-    std::size_t slot = scheduler.acquire_slot();
-    scheduler.note_stage_start(job.stage);
-    CommandTemplate::Context context{job.seq, slot};
-    ActiveAttempt attempt;
-    attempt.seq = job.seq;
-    attempt.args = std::move(job.args);
-    attempt.stdin_data = std::move(job.stdin_data);
-    attempt.has_stdin = job.has_stdin;
-    attempt.slot = slot;
-    attempt.attempts = job.attempts + 1;
-    attempt.stage = job.stage;
-    attempt.command_tmpl = std::move(job.command);
-    attempt.reschedules = job.reschedules;
+  // Phase 4: one finished attempt. A non-empty spawn_error means the
+  // attempt never ran: start() threw here, or a shard thread's start() did.
+  // Either way it fails with exit code 127 and flows through the same retry
+  // budget and halt accounting as a nonzero exit.
+  auto complete = [&](ExecResult completion) {
+    auto it = active.find(completion.job_id);
+    util::require(it != active.end(), "executor returned unknown job id");
+    ActiveAttempt attempt = std::move(it->second);
+    active.erase(it);
+    scheduler.release_slot(attempt.slot);
+    scheduler.note_stage_end(attempt.stage);
+
+    const bool spawn_failed = !completion.spawn_error.empty();
+    JobStatus status;
+    if (spawn_failed) {
+      PARCL_WARN() << (attempt.is_hedge ? "hedge spawn failed for seq "
+                                        : "spawn failed for seq ")
+                   << attempt.seq << ": " << completion.spawn_error;
+      completion.exit_code = 127;
+      status = JobStatus::kFailed;
+    } else if (attempt.killed_for_halt) {
+      status = JobStatus::kKilled;
+    } else if (attempt.killed_for_timeout) {
+      status = JobStatus::kTimedOut;
+    } else if (completion.term_signal != 0) {
+      status = JobStatus::kSignaled;
+    } else if (completion.exit_code == 0) {
+      status = JobStatus::kSuccess;
+    } else {
+      status = JobStatus::kFailed;
+    }
+
+    // A hedge loser's completion was already superseded by its partner's
+    // recorded result: drop it. Its slot was released above; nothing else
+    // to account.
+    if (attempt.discard_on_completion) return;
+
+    // Hedge pair resolution: first success wins and kills the partner; a
+    // member that fails while its partner still runs is dropped silently so
+    // the survivor alone decides the job's fate.
+    if (attempt.hedge_partner != 0) {
+      auto partner_it = active.find(attempt.hedge_partner);
+      attempt.hedge_partner = 0;
+      if (partner_it != active.end()) {
+        ActiveAttempt& partner = partner_it->second;
+        partner.hedge_partner = 0;
+        if (status != JobStatus::kSuccess) return;  // survivor carries the job
+        partner.discard_on_completion = true;
+        if (!partner.kill_sent) {
+          partner.kill_sent = true;
+          exec.kill(partner_it->first, /*force=*/true);
+        }
+        if (attempt.is_hedge) {
+          ++summary.dispatch.hedges_won;
+        } else {
+          ++summary.dispatch.hedges_lost;
+        }
+      }
+    }
+
+    if (status == JobStatus::kSuccess &&
+        (options_.timeout_percent > 0.0 || options_.hedge_multiplier > 0.0)) {
+      add_runtime_sample(completion.end_time - completion.start_time);
+      if (double limit = adaptive_limit(); limit > 0.0) {
+        // Arm attempts that started before the median existed; a running
+        // attempt already past the limit gets killed on the next pass.
+        for (auto& [id, running] : active) {
+          if (running.deadline == 0.0) {
+            running.deadline = running.start_time + limit;
+            deadlines.push({running.deadline, id, /*escalation=*/false});
+          }
+        }
+      }
+    }
+
+    // A host failure is not the job's fault: requeue the attempt without
+    // charging --retries (capped by kMaxReschedules so a host-killing job
+    // cannot circulate forever). Timeout/halt kills keep their meaning even
+    // when the transport also died.
+    if (completion.host_failure) {
+      ++summary.dispatch.host_failures;
+      if (!attempt.killed_for_timeout && !attempt.killed_for_halt &&
+          !scheduler.stopped() && attempt.reschedules < kMaxReschedules) {
+        PendingJob job;
+        job.seq = attempt.seq;
+        job.args = std::move(attempt.args);
+        job.stdin_data = std::move(attempt.stdin_data);
+        job.has_stdin = attempt.has_stdin;
+        job.attempts = attempt.attempts - 1;  // the attempt never counted
+        job.stage = attempt.stage;
+        job.command = std::move(attempt.command_tmpl);
+        job.reschedules = attempt.reschedules;
+        ledger.reschedule(std::move(job));
+        ++summary.dispatch.rescheduled;
+        return;
+      }
+    }
+
+    bool retryable = status == JobStatus::kFailed || status == JobStatus::kSignaled ||
+                     status == JobStatus::kTimedOut;
+    if (retryable && ledger.retryable(attempt.attempts) && !scheduler.stopped()) {
+      // Re-queue ahead of untouched pending work (newest first — the order
+      // the engine has always produced), or into the backoff heap when
+      // --retry-delay applies. Spawn failures queue behind other retries.
+      PendingJob retry;
+      retry.seq = attempt.seq;
+      retry.args = std::move(attempt.args);
+      retry.stdin_data = std::move(attempt.stdin_data);
+      retry.has_stdin = attempt.has_stdin;
+      retry.attempts = attempt.attempts;
+      retry.stage = attempt.stage;
+      retry.command = std::move(attempt.command_tmpl);
+      retry.reschedules = attempt.reschedules;
+      ledger.park(std::move(retry), /*front=*/!spawn_failed);
+      return;
+    }
+
+    JobResult result;
+    result.seq = attempt.seq;
+    result.stage = attempt.stage;
+    result.args = std::move(attempt.args);
+    result.slot = attempt.slot;
+    result.status = status;
+    result.exit_code = completion.exit_code;
+    result.term_signal = completion.term_signal;
+    result.attempts = attempt.attempts;
+    result.start_time = completion.start_time;
+    result.end_time = completion.end_time;
+    result.command = std::move(attempt.command);
+    result.stdout_data = std::move(completion.stdout_data);
+    result.stderr_data = std::move(completion.stderr_data);
+    result.host = std::move(completion.host);
+    record_final(std::move(result));
+
+    // Phase 5: halt policy.
+    apply_halt_policy();
+  };
+
+  // Composes `attempt`'s command and environment for its slot, arms its
+  // timeout, and starts it. Returns false when start() threw: the attempt
+  // has then already completed as a spawn failure.
+  auto launch = [&](ActiveAttempt attempt) -> bool {
+    CommandTemplate::Context context{attempt.seq, attempt.slot};
     attempt.command = template_for(attempt.command_tmpl)
                           .expand(attempt.args, context, options_.quote_args);
-
     ExecRequest request;
     request.job_id = next_job_id++;
     request.command = attempt.command;
-    request.slot = slot;
+    request.slot = attempt.slot;
     request.use_shell = options_.use_shell;
     request.capture_output = capture;
     request.stdin_data = attempt.stdin_data;
@@ -708,72 +844,66 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       request.env[key] = value_tmpl.expand(attempt.args, context, /*quote=*/false);
     }
 
-    double now = executor_.now();
+    double now = exec.now();
     attempt.start_time = now;
-    if (options_.timeout_seconds > 0.0) {
-      attempt.deadline = now + options_.timeout_seconds;
-      deadlines.push({attempt.deadline, request.job_id, /*escalation=*/false});
-    } else if (double limit = adaptive_limit(); limit > 0.0) {
+    double limit = options_.timeout_seconds > 0.0 ? options_.timeout_seconds
+                                                  : adaptive_limit();
+    if (limit > 0.0) {
       attempt.deadline = now + limit;
       deadlines.push({attempt.deadline, request.job_id, /*escalation=*/false});
     }
-    scheduler.note_start(now);
+    if (attempt.is_hedge) {
+      // Pair up before the hedge becomes visible. Hedges bypass the --delay
+      // gate: the primary already paid it for this job.
+      active.at(attempt.hedge_partner).hedge_partner = request.job_id;
+    } else {
+      scheduler.note_start(now);
+    }
     if (collect) summary.start_times.push_back(now);
     active.emplace(request.job_id, std::move(attempt));
     try {
-      executor_.start(request);
+      exec.start(request);
     } catch (const util::SystemError& error) {
-      // Spawn failure counts as a failed attempt with exit code 127. It
-      // flows through the same retry budget and halt accounting as a
-      // nonzero exit: only an exhausted job becomes a final result.
-      PARCL_WARN() << "spawn failed for seq " << job.seq << ": " << error.what();
-      ActiveAttempt failed = std::move(active.at(request.job_id));
-      active.erase(request.job_id);
-      scheduler.release_slot(failed.slot);
-      scheduler.note_stage_end(failed.stage);
-      if (ledger.retryable(failed.attempts) && !scheduler.stopped()) {
-        PendingJob retry;
-        retry.seq = failed.seq;
-        retry.args = std::move(failed.args);
-        retry.stdin_data = std::move(failed.stdin_data);
-        retry.has_stdin = failed.has_stdin;
-        retry.attempts = failed.attempts;
-        retry.stage = failed.stage;
-        retry.command = std::move(failed.command_tmpl);
-        retry.reschedules = failed.reschedules;
-        ledger.park(std::move(retry), /*front=*/false);
-        return;
-      }
-      JobResult result;
-      result.seq = failed.seq;
-      result.stage = failed.stage;
-      result.args = failed.args;
-      result.slot = failed.slot;
-      result.command = failed.command;
-      result.attempts = failed.attempts;
-      result.status = JobStatus::kFailed;
-      result.exit_code = 127;
-      result.start_time = now;
-      result.end_time = now;
-      record_final(std::move(result));
-      apply_halt_policy();
+      ExecResult failed;
+      failed.job_id = request.job_id;
+      failed.spawn_error = error.what();
+      failed.start_time = now;
+      failed.end_time = now;
+      complete(std::move(failed));
+      return false;
     }
+    return true;
+  };
+
+  auto start_one = [&](PendingJob job) {
+    ActiveAttempt attempt;
+    attempt.seq = job.seq;
+    attempt.args = std::move(job.args);
+    attempt.stdin_data = std::move(job.stdin_data);
+    attempt.has_stdin = job.has_stdin;
+    attempt.slot = scheduler.acquire_slot();
+    attempt.attempts = job.attempts + 1;
+    attempt.stage = job.stage;
+    attempt.command_tmpl = std::move(job.command);
+    attempt.reschedules = job.reschedules;
+    scheduler.note_stage_start(job.stage);
+    launch(std::move(attempt));
   };
 
   // --hedge: launch a speculative duplicate of a straggling attempt on a
   // slot in a *different* failure domain (another host). First completion
   // to succeed wins; the loser is killed and its completion discarded, so
   // the joblog stays exactly-once. Returns false when no distinct-domain
-  // slot is free — the candidate is retried on a later pass.
+  // slot is free (the candidate is retried on a later pass) or when the
+  // duplicate failed to spawn (it is dropped; the primary runs on).
   auto launch_hedge = [&](std::uint64_t primary_id) -> bool {
     auto pit = active.find(primary_id);
     if (pit == active.end()) return false;
-    ActiveAttempt& primary = pit->second;
+    const ActiveAttempt& primary = pit->second;
     std::optional<std::size_t> slot = scheduler.acquire_slot_distinct(primary.slot);
     if (!slot) return false;
     scheduler.note_stage_start(primary.stage);
 
-    CommandTemplate::Context context{primary.seq, *slot};
     ActiveAttempt hedge;
     hedge.seq = primary.seq;
     hedge.args = primary.args;
@@ -786,48 +916,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     hedge.reschedules = primary.reschedules;
     hedge.is_hedge = true;
     hedge.hedge_partner = primary_id;
-    hedge.command = template_for(hedge.command_tmpl)
-                        .expand(hedge.args, context, options_.quote_args);
-
-    ExecRequest request;
-    request.job_id = next_job_id++;
-    request.command = hedge.command;
-    request.slot = *slot;
-    request.use_shell = options_.use_shell;
-    request.capture_output = capture;
-    request.stdin_data = hedge.stdin_data;
-    request.has_stdin = hedge.has_stdin;
-    for (const auto& [key, value_tmpl] : env_templates) {
-      request.env[key] = value_tmpl.expand(hedge.args, context, /*quote=*/false);
-    }
-
-    double now = executor_.now();
-    hedge.start_time = now;
-    if (options_.timeout_seconds > 0.0) {
-      hedge.deadline = now + options_.timeout_seconds;
-      deadlines.push({hedge.deadline, request.job_id, /*escalation=*/false});
-    } else if (double limit = adaptive_limit(); limit > 0.0) {
-      hedge.deadline = now + limit;
-      deadlines.push({hedge.deadline, request.job_id, /*escalation=*/false});
-    }
-    // Pair up before the hedge becomes visible, then launch. Hedges bypass
-    // the --delay gate: the primary already paid it for this job.
-    primary.hedge_partner = request.job_id;
-    if (collect) summary.start_times.push_back(now);
-    active.emplace(request.job_id, std::move(hedge));
-    try {
-      executor_.start(request);
-    } catch (const util::SystemError& error) {
-      // A hedge is pure speculation: on spawn failure drop it quietly and
-      // let the primary run out on its own.
-      PARCL_WARN() << "hedge spawn failed for seq " << primary.seq << ": "
-                   << error.what();
-      active.erase(request.job_id);
-      scheduler.release_slot(*slot);
-      scheduler.note_stage_end(primary.stage);
-      active.at(primary_id).hedge_partner = 0;
-      return false;
-    }
+    if (!launch(std::move(hedge))) return false;
     ++summary.dispatch.hedges_launched;
     return true;
   };
@@ -853,21 +942,21 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
              << " to " << active.size() << " running job(s)\n";
         for (auto& [id, running] : active) {
           (void)running;
-          executor_.kill_signal(id, term_stages[term_index].signal);
+          exec.kill_signal(id, term_stages[term_index].signal);
           ++summary.dispatch.escalated;
         }
-        next_stage_at = executor_.now() + term_stages[term_index].delay_ms / 1000.0;
+        next_stage_at = exec.now() + term_stages[term_index].delay_ms / 1000.0;
       }
     }
     if (drain_stage == 2 && term_index + 1 < term_stages.size() && !active.empty() &&
-        executor_.now() >= next_stage_at) {
+        exec.now() >= next_stage_at) {
       ++term_index;
       for (auto& [id, running] : active) {
         (void)running;
-        executor_.kill_signal(id, term_stages[term_index].signal);
+        exec.kill_signal(id, term_stages[term_index].signal);
         ++summary.dispatch.escalated;
       }
-      next_stage_at = executor_.now() + term_stages[term_index].delay_ms / 1000.0;
+      next_stage_at = exec.now() + term_stages[term_index].delay_ms / 1000.0;
     }
 
     // Release backoff'd retries whose delay has elapsed.
@@ -880,8 +969,8 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     // --min-hosts floor: park while starved, give up only after the grace.
     if (options_.min_hosts > 0 && !scheduler.stopped() &&
         (queued_work() || !active.empty())) {
-      if (executor_.live_host_count() < options_.min_hosts) {
-        double t = executor_.now();
+      if (exec.live_host_count() < options_.min_hosts) {
+        double t = exec.now();
         if (starved_since < 0.0) starved_since = t;
         if (!starvation_reported) {
           starvation_reported = true;
@@ -921,7 +1010,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
         !scheduler.stopped() && starved_since < 0.0) {
       if (double median = running_median(); median > 0.0) {
         const double threshold = median * options_.hedge_multiplier;
-        const double now_hedge = executor_.now();
+        const double now_hedge = exec.now();
         std::vector<std::uint64_t> candidates;
         for (const auto& [id, running] : active) {
           if (running.is_hedge || running.hedge_partner != 0 ||
@@ -943,7 +1032,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
     while (!scheduler.stopped() && starved_since < 0.0 && scheduler.slot_free() &&
            queued_work()) {
       double ready_at = scheduler.next_start_time();
-      if (ready_at > executor_.now()) break;  // wait out --delay below
+      if (ready_at > exec.now()) break;  // wait out --delay below
       if (!scheduler.pressure_allows_start()) {
         ++summary.dispatch.deferred;  // one deferral per blocked fill round
         break;
@@ -981,7 +1070,7 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
 
     // Phase 2: wait for a completion, a timeout deadline, or the delay gate.
     double wait = -1.0;  // indefinitely
-    double now = executor_.now();
+    double now = exec.now();
     if (!scheduler.stopped() && queued_work() && options_.delay_seconds > 0.0) {
       double gate = scheduler.delay_gate();
       if (scheduler.slot_free() && gate > now) wait = gate - now;
@@ -1059,8 +1148,8 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
       continue;
     }
 
-    std::optional<ExecResult> completion = executor_.wait_any(wait);
-    now = executor_.now();
+    std::optional<ExecResult> completion = exec.wait_any(wait);
+    now = exec.now();
 
     // Phase 3: enforce due timeouts (heap-ordered, O(log n) per event).
     while (!deadlines.empty() && deadlines.top().time <= now) {
@@ -1073,145 +1162,16 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
         if (attempt.kill_sent) continue;
         attempt.kill_sent = true;
         attempt.killed_for_timeout = true;
-        executor_.kill(event.job_id, /*force=*/false);
+        exec.kill(event.job_id, /*force=*/false);
         deadlines.push({event.time + kTimeoutGrace, event.job_id,
                         /*escalation=*/true});
       } else if (attempt.kill_sent && !attempt.force_sent) {
         attempt.force_sent = true;
-        executor_.kill(event.job_id, /*force=*/true);
+        exec.kill(event.job_id, /*force=*/true);
       }
     }
 
-    if (!completion) continue;
-
-    // Phase 4: process the completed attempt.
-    auto it = active.find(completion->job_id);
-    util::require(it != active.end(), "executor returned unknown job id");
-    ActiveAttempt attempt = std::move(it->second);
-    active.erase(it);
-    scheduler.release_slot(attempt.slot);
-    scheduler.note_stage_end(attempt.stage);
-
-    JobStatus status;
-    if (attempt.killed_for_halt) {
-      status = JobStatus::kKilled;
-    } else if (attempt.killed_for_timeout) {
-      status = JobStatus::kTimedOut;
-    } else if (completion->term_signal != 0) {
-      status = JobStatus::kSignaled;
-    } else if (completion->exit_code == 0) {
-      status = JobStatus::kSuccess;
-    } else {
-      status = JobStatus::kFailed;
-    }
-
-    // A hedge loser's completion was already superseded by its partner's
-    // recorded result: drop it. Its slot was released above; nothing else
-    // to account.
-    if (attempt.discard_on_completion) continue;
-
-    // Hedge pair resolution: first success wins and kills the partner; a
-    // member that fails while its partner still runs is dropped silently so
-    // the survivor alone decides the job's fate.
-    if (attempt.hedge_partner != 0) {
-      auto partner_it = active.find(attempt.hedge_partner);
-      attempt.hedge_partner = 0;
-      if (partner_it != active.end()) {
-        ActiveAttempt& partner = partner_it->second;
-        partner.hedge_partner = 0;
-        if (status == JobStatus::kSuccess) {
-          partner.discard_on_completion = true;
-          if (!partner.kill_sent) {
-            partner.kill_sent = true;
-            executor_.kill(partner_it->first, /*force=*/true);
-          }
-          if (attempt.is_hedge) {
-            ++summary.dispatch.hedges_won;
-          } else {
-            ++summary.dispatch.hedges_lost;
-          }
-        } else {
-          continue;  // survivor carries the job; discard this completion
-        }
-      }
-    }
-
-    if (status == JobStatus::kSuccess &&
-        (options_.timeout_percent > 0.0 || options_.hedge_multiplier > 0.0)) {
-      add_runtime_sample(completion->end_time - completion->start_time);
-      if (double limit = adaptive_limit(); limit > 0.0) {
-        // Arm attempts that started before the median existed; a running
-        // attempt already past the limit gets killed on the next pass.
-        for (auto& [id, running] : active) {
-          if (running.deadline == 0.0) {
-            running.deadline = running.start_time + limit;
-            deadlines.push({running.deadline, id, /*escalation=*/false});
-          }
-        }
-      }
-    }
-
-    // A host failure is not the job's fault: requeue the attempt without
-    // charging --retries (capped by kMaxReschedules so a host-killing job
-    // cannot circulate forever). Timeout/halt kills keep their meaning even
-    // when the transport also died.
-    if (completion->host_failure) {
-      ++summary.dispatch.host_failures;
-      if (!attempt.killed_for_timeout && !attempt.killed_for_halt &&
-          !scheduler.stopped() && attempt.reschedules < kMaxReschedules) {
-        PendingJob job;
-        job.seq = attempt.seq;
-        job.args = std::move(attempt.args);
-        job.stdin_data = std::move(attempt.stdin_data);
-        job.has_stdin = attempt.has_stdin;
-        job.attempts = attempt.attempts - 1;  // the attempt never counted
-        job.stage = attempt.stage;
-        job.command = std::move(attempt.command_tmpl);
-        job.reschedules = attempt.reschedules;
-        ledger.reschedule(std::move(job));
-        ++summary.dispatch.rescheduled;
-        continue;
-      }
-    }
-
-    bool retryable = status == JobStatus::kFailed || status == JobStatus::kSignaled ||
-                     status == JobStatus::kTimedOut;
-    if (retryable && ledger.retryable(attempt.attempts) && !scheduler.stopped()) {
-      // Re-queue ahead of untouched pending work (newest first — the order
-      // the engine has always produced), or into the backoff heap when
-      // --retry-delay applies.
-      PendingJob retry;
-      retry.seq = attempt.seq;
-      retry.args = std::move(attempt.args);
-      retry.stdin_data = std::move(attempt.stdin_data);
-      retry.has_stdin = attempt.has_stdin;
-      retry.attempts = attempt.attempts;
-      retry.stage = attempt.stage;
-      retry.command = std::move(attempt.command_tmpl);
-      retry.reschedules = attempt.reschedules;
-      ledger.park(std::move(retry), /*front=*/true);
-      continue;
-    }
-
-    JobResult result;
-    result.seq = attempt.seq;
-    result.stage = attempt.stage;
-    result.args = std::move(attempt.args);
-    result.slot = attempt.slot;
-    result.status = status;
-    result.exit_code = completion->exit_code;
-    result.term_signal = completion->term_signal;
-    result.attempts = attempt.attempts;
-    result.start_time = completion->start_time;
-    result.end_time = completion->end_time;
-    result.command = std::move(attempt.command);
-    result.stdout_data = std::move(completion->stdout_data);
-    result.stderr_data = std::move(completion->stderr_data);
-    result.host = std::move(completion->host);
-    record_final(std::move(result));
-
-    // Phase 5: halt policy.
-    apply_halt_policy();
+    if (completion) complete(std::move(*completion));
   }
 
   // Work never started (halt or drain engaged) is skipped: parked retries,
@@ -1250,6 +1210,10 @@ RunSummary Engine::execute(const CommandTemplate& tmpl, JobSource& source) {
   if (joblog) {
     joblog->flush();
     summary.dispatch.joblog_flushes = joblog->flushes();
+  }
+  if (pool) {
+    summary.dispatch.merge(pool->finish());
+    summary.dispatch.dispatcher_threads = pool->size();
   }
   if (last_end > first_start) summary.makespan = last_end - first_start;
   // DAG sources number jobs themselves (densely, by declaration order), so

@@ -17,6 +17,9 @@
 //   core/scheduler     slot / --delay / pressure / --halt decisions
 //   core/retry_ledger  attempt + --retry-delay backoff bookkeeping
 //   core/output        --group/-k/--tag collation (bounded -k window)
+// With --dispatchers N the loop itself stays single-threaded: it drives a
+// core/shard_pool executor whose N threads only start and reap jobs, and
+// reads the input through a PrefetchSource thread.
 // The vector-taking run()/run_pipe() overloads remain as thin adapters over
 // VectorSource / BlockVectorSource, so existing call sites keep compiling.
 #pragma once
@@ -83,19 +86,6 @@ class Engine {
 
  private:
   RunSummary execute(const CommandTemplate& tmpl, JobSource& source);
-
-  /// Multi-threaded dispatch core (engine_sharded.cpp): a prefetching
-  /// reader thread feeds `shards.size()` dispatcher threads — one executor
-  /// shard and slot range each — through a bounded queue, while this thread
-  /// coordinates retries, --halt, signals, collation, and the joblog.
-  RunSummary execute_sharded(const CommandTemplate& tmpl, JobSource& source,
-                             std::vector<std::unique_ptr<Executor>> shards);
-
-  /// Dispatcher shards this run should use: effective_dispatchers() when the
-  /// option set permits sharding (no feature needing one globally ordered
-  /// dispatch decision per start), else 1 (serial loop). The backend gets
-  /// the final veto via Executor::make_shard().
-  std::size_t sharded_shard_count() const;
 
   Options options_;
   Executor& executor_;

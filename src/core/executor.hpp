@@ -46,6 +46,10 @@ struct ExecResult {
   /// wrapper exit 255, or an in-flight loss to quarantine. The engine
   /// requeues such attempts onto a healthy host without charging --retries.
   bool host_failure = false;
+  /// Non-empty when the attempt never ran because start() failed with this
+  /// error: the completion a ShardPool returns for a shard's spawn failure.
+  /// The engine handles it exactly like a SystemError thrown by start().
+  std::string spawn_error;
 };
 
 /// Snapshot of backend resource pressure for the --memfree/--load dispatch
@@ -123,26 +127,30 @@ class Executor {
   virtual double now() const = 0;
 
   // ---- Thread-safety contract ----------------------------------------------
-  // An Executor instance is single-threaded: start/wait_any/kill/kill_signal
-  // must all be called from one thread at a time, and no call may overlap
-  // another. The engine's sharded dispatch mode therefore never shares an
-  // instance across dispatcher threads — it asks the backend for independent
-  // *shard* instances instead, one per dispatcher, each driven exclusively by
-  // its own thread.
+  // An Executor instance is single-threaded: every method except wake() must
+  // be called from one thread at a time, and no call may overlap another.
+  // Sharded dispatch therefore never shares an instance across threads: the
+  // engine asks the backend for independent *shard* instances, and a
+  // core::ShardPool drives each from its own thread.
+
+  /// Makes a wait_any() blocked in another thread return promptly (nullopt,
+  /// or a completion that is already due); a wake that arrives while no wait
+  /// is in progress ends the next one. The one thread-safe method: a
+  /// ShardPool calls it when it hands work to a shard that is blocked. The
+  /// default does nothing, so such a wait runs to its own timeout.
+  virtual void wake() {}
 
   /// Returns a fresh executor shard sharing this backend's clock epoch (so
   /// timestamps from different shards compare), or nullptr when the backend
-  /// cannot be sharded — the engine then falls back to the serial dispatch
-  /// loop. A shard owns its own children/poll state and counters; only
-  /// `now()` and const introspection on the parent remain callable while
-  /// shards are live. Shards must be created before dispatcher threads start
-  /// and destroyed (or drained) before the parent.
+  /// cannot be sharded — the engine then runs every start on this instance.
+  /// A shard owns its own children/poll state and counters; only `now()`
+  /// and const introspection on the parent remain callable while shards are
+  /// live. Shards must be destroyed before the parent.
   virtual std::unique_ptr<Executor> make_shard() { return nullptr; }
 
   /// Backend-side dispatch counters (spawn/reap/poll costs), or nullptr when
-  /// the backend keeps none. The sharded engine merges each shard's counters
-  /// into RunSummary::dispatch after the dispatcher threads join, so the
-  /// totals survive shard destruction.
+  /// the backend keeps none. The engine merges each shard's counters into
+  /// RunSummary::dispatch after the ShardPool threads join.
   virtual const struct DispatchCounters* dispatch_counters() const { return nullptr; }
 };
 

@@ -82,10 +82,10 @@ struct DispatchCounters {
   std::uint64_t dispatcher_threads = 0;  // shards the run dispatched through (0 = serial)
   std::uint64_t joblog_flushes = 0;      // batched joblog write() calls issued
 
-  /// Adds another counter set into this one. The sharded engine keeps one
-  /// DispatchCounters per dispatcher shard — plain increments on thread-local
-  /// state, no atomics on the hot path — and merges them here after the
-  /// dispatcher threads join.
+  /// Adds another counter set into this one. Each executor shard keeps its
+  /// own DispatchCounters — plain increments on thread-local state, no
+  /// atomics on the hot path — and the engine merges them here after the
+  /// ShardPool threads join.
   void merge(const DispatchCounters& other) noexcept;
 
   /// Mean parent-side cost of one spawn, microseconds (0 when no spawns).

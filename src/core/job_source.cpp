@@ -228,4 +228,29 @@ std::optional<JobInput> MaxCharsPacker::next() {
   return packed;
 }
 
+PrefetchSource::PrefetchSource(JobSource& upstream, std::size_t capacity)
+    : upstream_(upstream), queue_(capacity < 1 ? 1 : capacity) {
+  thread_ = std::thread([this] {
+    try {
+      while (auto job = upstream_.next()) {
+        if (!queue_.push(std::move(*job))) return;  // closed by the destructor
+      }
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+    queue_.close();
+  });
+}
+
+PrefetchSource::~PrefetchSource() {
+  queue_.close();
+  thread_.join();
+}
+
+std::optional<JobInput> PrefetchSource::next() {
+  std::optional<JobInput> job = queue_.pop();
+  if (!job && error_) std::rethrow_exception(error_);
+  return job;
+}
+
 }  // namespace parcl::core

@@ -20,15 +20,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/input.hpp"
+#include "util/blocking_queue.hpp"
 
 namespace parcl::core {
 
@@ -243,6 +246,28 @@ class MaxCharsPacker : public JobSource {
   std::size_t base_chars_;
   std::size_t max_chars_;
   std::optional<std::pair<std::string, std::size_t>> carry_;  // value, cost
+};
+
+/// Read-ahead decorator for sharded runs: one thread pulls `upstream` into
+/// a queue of at most `capacity` jobs, so the engine loop never blocks on
+/// input while its shards have work to start. next() rethrows an error the
+/// upstream raised, after the jobs pulled before it.
+class PrefetchSource : public JobSource {
+ public:
+  PrefetchSource(JobSource& upstream, std::size_t capacity);
+  /// Stops reading ahead and joins the thread; the upstream pull in
+  /// progress, if any, completes first.
+  ~PrefetchSource() override;
+  PrefetchSource(const PrefetchSource&) = delete;
+  PrefetchSource& operator=(const PrefetchSource&) = delete;
+
+  std::optional<JobInput> next() override;
+
+ private:
+  JobSource& upstream_;
+  util::BlockingQueue<JobInput> queue_;
+  std::exception_ptr error_;  // written before queue_ closes
+  std::thread thread_;
 };
 
 }  // namespace parcl::core

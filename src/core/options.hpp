@@ -23,14 +23,12 @@ struct Options {
   /// -j/--jobs: concurrent slots. 0 means "one per hardware thread".
   std::size_t jobs = 1;
 
-  /// --dispatchers: dispatcher threads sharding the dispatch hot path. Each
-  /// shard owns a contiguous slot range and its own executor instance (own
-  /// pidfd poll set); a prefetching reader thread feeds them through a
-  /// bounded queue. 0 = auto: min(4, hardware threads), engaged only for
-  /// runs with enough slots to shard (see Engine). 1 forces the serial loop.
-  /// Sharding requires a backend that supports Executor::make_shard() and a
-  /// feature set without global inter-start ordering (--delay, --memfree,
-  /// --load, --hedge, and adaptive --timeout N% all fall back to serial).
+  /// --dispatchers: threads that spawn and reap jobs for the engine loop.
+  /// Each drives its own executor shard (own pidfd poll set) behind a
+  /// core::ShardPool, which routes slot s to shard (s - 1) mod N; a
+  /// prefetch thread reads the input ahead. 0 = auto: min(4, hardware
+  /// threads), engaged only from -j32 up (see Engine::execute). 1 runs
+  /// unsharded, as does a backend whose Executor::make_shard() declines.
   std::size_t dispatchers = 0;
 
   /// --joblog-flush BYTES: batch joblog rows in memory and append them with

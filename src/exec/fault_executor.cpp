@@ -204,12 +204,13 @@ std::optional<core::ExecResult> FaultInjectingExecutor::wait_any(
       return completion;
     }
 
-    // Backend timed out. Surface any straggler that just came due; else
-    // honour the caller's deadline.
+    // Backend timed out or was woken. Surface any straggler that just came
+    // due; else honour a wake, then the caller's deadline.
     if (auto due = take_due_held()) {
       { std::lock_guard<std::mutex> lock(shared_->mu); ++shared_->counters.delivered; }
       return due;
     }
+    if (woken_.exchange(false)) return std::nullopt;
     now = inner_->now();
     if (deadline < 0.0) {
       // Indefinite wait: keep waiting only while something can still
@@ -219,6 +220,11 @@ std::optional<core::ExecResult> FaultInjectingExecutor::wait_any(
     }
     if (now >= deadline) return std::nullopt;
   }
+}
+
+void FaultInjectingExecutor::wake() {
+  woken_.store(true);
+  inner_->wake();
 }
 
 void FaultInjectingExecutor::kill(std::uint64_t job_id, bool force) {

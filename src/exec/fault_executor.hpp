@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -106,6 +107,9 @@ class FaultInjectingExecutor final : public core::Executor {
   /// those jobs until wait_any() surfaces them.
   std::size_t active_count() const override;
   double now() const override { return inner_->now(); }
+  /// Forwards to the backend and ends the current (or next) wait_any()
+  /// even while straggler results are held.
+  void wake() override;
 
   /// Shards the wrapped backend and hands the shard an injector that SHARES
   /// this one's per-command attempt streams and counters (mutex-protected):
@@ -115,7 +119,7 @@ class FaultInjectingExecutor final : public core::Executor {
   std::unique_ptr<core::Executor> make_shard() override;
 
   /// Tallies, summed across this injector and every shard made from it.
-  /// Read after dispatcher threads join (or from the driving thread).
+  /// Read after the ShardPool threads join (or from the driving thread).
   const FaultCounters& counters() const noexcept { return shared_->counters; }
 
  private:
@@ -161,6 +165,7 @@ class FaultInjectingExecutor final : public core::Executor {
   std::shared_ptr<SharedState> shared_;
   std::map<std::uint64_t, Decision> pending_;  // started job -> decision
   std::vector<Held> held_;                     // straggler holding pen
+  std::atomic<bool> woken_{false};             // set by wake(), any thread
 };
 
 /// Builds a SimExecutor TaskModel that samples service times from

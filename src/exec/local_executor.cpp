@@ -4,6 +4,7 @@
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
+#include <sys/eventfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -114,7 +115,11 @@ LocalExecutor::LocalExecutor() : epoch_(monotonic_seconds()) {
 // Shards leave process-global signal dispositions alone: the parent instance
 // already holds SIGPIPE ignored for the whole process.
 LocalExecutor::LocalExecutor(double epoch, bool shard_mode)
-    : shard_mode_(shard_mode), epoch_(epoch) {}
+    : shard_mode_(shard_mode), epoch_(epoch) {
+  // Without an eventfd, wake() is a no-op and waits run to their timeout.
+  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ >= 0) add_poll_fd(wake_fd_, POLLIN, 0, FdKind::kWake);
+}
 
 std::unique_ptr<core::Executor> LocalExecutor::make_shard() {
   // A shard cannot use the SIGCHLD self-pipe (sigaction is process-global
@@ -152,9 +157,16 @@ LocalExecutor::~LocalExecutor() {
     g_self_pipe_read = g_self_pipe_write = -1;
   }
   if (sigpipe_saved_) sigaction(SIGPIPE, &saved_sigpipe_, nullptr);
+  if (wake_fd_ >= 0) close(wake_fd_);
 }
 
 double LocalExecutor::now() const { return monotonic_seconds() - epoch_; }
+
+void LocalExecutor::wake() {
+  if (wake_fd_ < 0) return;
+  std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = write(wake_fd_, &one, sizeof(one));
+}
 
 void LocalExecutor::start(const core::ExecRequest& request) {
   util::require(children_.find(request.job_id) == children_.end(),
@@ -371,6 +383,7 @@ void LocalExecutor::compact_poll_set() {
       self_pipe_slot_ = slot;
       continue;
     }
+    if (poll_meta_[i].kind == FdKind::kWake) continue;
     auto it = children_.find(poll_meta_[i].job_id);
     if (it == children_.end()) continue;
     switch (poll_meta_[i].kind) {
@@ -378,7 +391,8 @@ void LocalExecutor::compact_poll_set() {
       case FdKind::kErr: it->second.err_slot = slot; break;
       case FdKind::kIn: it->second.in_slot = slot; break;
       case FdKind::kPidfd: it->second.pidfd_slot = slot; break;
-      case FdKind::kSelfPipe: break;
+      case FdKind::kSelfPipe:
+      case FdKind::kWake: break;
     }
   }
   pollfds_ = std::move(fds);
@@ -389,7 +403,7 @@ void LocalExecutor::compact_poll_set() {
 void LocalExecutor::enable_self_pipe() {
   if (shard_mode_) {
     // sigaction and the handler's pipe are process-global; a shard must not
-    // touch them from a dispatcher thread. Degrade to bounded polling with
+    // touch them from a shard thread. Degrade to bounded polling with
     // WNOHANG sweeps for the (pidfd-less) children this shard holds.
     degraded_sweep_ = true;
     need_sweep_ = true;
@@ -537,6 +551,12 @@ void LocalExecutor::dispatch_event(std::size_t slot, short revents) {
     sweep_unreaped();
     return;
   }
+  if (meta.kind == FdKind::kWake) {
+    std::uint64_t count = 0;
+    [[maybe_unused]] ssize_t n = read(wake_fd_, &count, sizeof(count));
+    woken_ = true;
+    return;
+  }
   auto it = children_.find(meta.job_id);
   if (it == children_.end()) return;
   Child& child = it->second;
@@ -559,6 +579,7 @@ void LocalExecutor::dispatch_event(std::size_t slot, short revents) {
       feed_stdin(child);
       break;
     case FdKind::kSelfPipe:
+    case FdKind::kWake:
       break;
   }
   maybe_finish(meta.job_id, child);
@@ -582,6 +603,10 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
       core::ExecResult result = harvest(job_id, it->second);
       children_.erase(it);
       return result;
+    }
+    if (woken_) {
+      woken_ = false;
+      return std::nullopt;
     }
 
     if (children_.empty()) {

@@ -50,13 +50,15 @@ class LocalExecutor final : public core::Executor {
   core::ResourcePressure pressure() const override;
   std::size_t active_count() const override { return children_.size(); }
   double now() const override;
+  /// Shards only: interrupts wait_any() through an eventfd in the poll set.
+  void wake() override;
 
-  /// Shard for a dispatcher thread: shares this executor's clock epoch (so
+  /// Shard for a ShardPool thread: shares this executor's clock epoch (so
   /// cross-shard timestamps compare), never touches process-global signal
   /// state (no SIGCHLD self-pipe, no SIGPIPE sigaction), and keeps its own
-  /// counters/poll set/children. Returns nullptr when the kernel lacks
-  /// pidfds — shards cannot fall back to the shared self-pipe, so the
-  /// engine must stay single-threaded there.
+  /// counters/poll set/children, plus the eventfd behind wake(). Returns
+  /// nullptr when the kernel lacks pidfds — shards cannot fall back to the
+  /// shared self-pipe, so the engine must stay single-threaded there.
   std::unique_ptr<core::Executor> make_shard() override;
   const core::DispatchCounters* dispatch_counters() const noexcept override {
     return &counters_;
@@ -95,7 +97,7 @@ class LocalExecutor final : public core::Executor {
     int wait_status = 0;
   };
 
-  enum class FdKind : unsigned char { kOut, kErr, kIn, kPidfd, kSelfPipe };
+  enum class FdKind : unsigned char { kOut, kErr, kIn, kPidfd, kSelfPipe, kWake };
   struct PollMeta {
     std::uint64_t job_id = 0;
     FdKind kind = FdKind::kOut;
@@ -143,6 +145,8 @@ class LocalExecutor final : public core::Executor {
   // polls + WNOHANG sweeps instead.
   bool shard_mode_ = false;
   bool degraded_sweep_ = false;
+  int wake_fd_ = -1;     // shard eventfd written by wake()
+  bool woken_ = false;   // wake_fd_ fired during the current wait_any()
   /// True when poll() must use a bounded window (wakeups can be missed).
   bool capped_poll() const noexcept { return use_self_pipe_ || degraded_sweep_; }
 

@@ -302,31 +302,35 @@ TEST(ParclCli, SpawnFailureRetriesAndCountsAsFailure) {
 
 TEST(ParclCli, MissingBinaryWarnsOncePerJobNamingIt) {
   // A direct-exec command whose binary does not exist fails in posix_spawnp.
-  // Each job must log Exitval 127, count as failed, and warn once with the
-  // binary's name, on the serial loop and under sharded dispatch alike.
-  for (const std::string dispatchers : {"1", "2"}) {
-    SCOPED_TRACE("--dispatchers " + dispatchers);
-    std::string log_path =
-        ::testing::TempDir() + "parcl_cli_missing_" + dispatchers + ".tsv";
-    std::remove(log_path.c_str());
-    CommandResult result = run_command(
-        parcl() + " --dispatchers " + dispatchers + " --joblog " + log_path +
-        " '/nonexistent/x {}' ::: a b c");
-    EXPECT_EQ(result.exit_code, 3) << result.output;
-    auto warnings = parcl::util::split_lines(result.output);
-    EXPECT_EQ(warnings.size(), 3u) << result.output;
-    for (const auto& line : warnings) {
-      EXPECT_NE(line.find("/nonexistent/x"), std::string::npos) << line;
+  // Each attempt must warn once with the binary's name, and each job must
+  // log Exitval 127 and count as failed once its --retries are spent, on
+  // the serial loop and under sharded dispatch alike (where the failure
+  // comes back from a shard thread instead of a throw).
+  for (const std::string retries : {"1", "2"}) {
+    for (const std::string dispatchers : {"1", "2"}) {
+      SCOPED_TRACE("--retries " + retries + " --dispatchers " + dispatchers);
+      std::string log_path = ::testing::TempDir() + "parcl_cli_missing_" +
+                             retries + "_" + dispatchers + ".tsv";
+      std::remove(log_path.c_str());
+      CommandResult result = run_command(
+          parcl() + " -j4 --retries " + retries + " --dispatchers " +
+          dispatchers + " --joblog " + log_path + " '/nonexistent/x {}' ::: a b c");
+      EXPECT_EQ(result.exit_code, 3) << result.output;
+      auto warnings = parcl::util::split_lines(result.output);
+      EXPECT_EQ(warnings.size(), 3u * std::stoul(retries)) << result.output;
+      for (const auto& line : warnings) {
+        EXPECT_NE(line.find("/nonexistent/x"), std::string::npos) << line;
+      }
+      std::ifstream in(log_path);
+      std::string content((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+      auto rows = parcl::util::split_lines(content);
+      ASSERT_EQ(rows.size(), 4u) << content;  // header + 3 rows
+      for (std::size_t i = 1; i < rows.size(); ++i) {
+        EXPECT_NE(rows[i].find("\t127\t0\t"), std::string::npos) << rows[i];
+      }
+      std::remove(log_path.c_str());
     }
-    std::ifstream in(log_path);
-    std::string content((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-    auto rows = parcl::util::split_lines(content);
-    ASSERT_EQ(rows.size(), 4u) << content;  // header + 3 rows
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-      EXPECT_NE(rows[i].find("\t127\t0\t"), std::string::npos) << rows[i];
-    }
-    std::remove(log_path.c_str());
   }
 }
 

@@ -1,8 +1,8 @@
-// Sharded dispatch core: the multi-threaded engine path (reader thread +
-// N dispatcher shards + coordinator) must be observationally identical to
-// the serial loop — same -k byte stream, same joblog contract, same retry
-// and halt semantics — while the per-shard DispatchCounters still balance
-// after the merge.
+// Sharded dispatch: the engine loop driving a ShardPool (a prefetch thread
+// plus N shard threads) must be observationally identical to the serial
+// loop — same -k byte stream, same joblog contract, same retry and halt
+// semantics — while the per-shard DispatchCounters still balance after the
+// merge.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dag_source.hpp"
 #include "core/engine.hpp"
 #include "core/joblog.hpp"
 #include "core/signal_coordinator.hpp"
@@ -176,8 +177,8 @@ TEST(ShardedDispatch, RetriesStayWithinBudget) {
 }
 
 TEST(ShardedDispatch, TimeoutEnforcedPerShard) {
-  // Each dispatcher owns its own deadline heap; a timeout must fire on
-  // whichever shard hosts the job.
+  // The engine loop owns every deadline; its kill must reach whichever
+  // shard hosts the job.
   Options options = sharded_options(4);
   options.jobs = 4;
   options.timeout_seconds = 0.2;
@@ -196,8 +197,8 @@ TEST(ShardedDispatch, TimeoutEnforcedPerShard) {
 }
 
 TEST(ShardedDispatch, HaltNowStopsAllShards) {
-  // halt now,fail=1: the coordinator must kill in-flight jobs on every
-  // shard, not only the one that saw the failure.
+  // halt now,fail=1: the engine must kill in-flight jobs on every shard,
+  // not only the one that saw the failure.
   Options options = sharded_options(4);
   options.jobs = 8;
   options.halt = HaltPolicy::parse("now,fail=1");
@@ -279,8 +280,9 @@ TEST(ShardedDispatch, InterruptDrainQuiescesEveryShard) {
 }
 
 TEST(ShardedDispatch, SecondInterruptWalksTermseqAfterQuiesce) {
-  // Second SIGINT escalates --termseq; the walk must only begin after all
-  // shards stop spawning, and stubborn children must still die via KILL.
+  // Second SIGINT escalates --termseq; a signal queued behind a start on a
+  // shard's inbox must still reach that child, and stubborn children must
+  // still die via KILL.
   Options options = sharded_options(4);
   options.jobs = 4;
   options.term_seq = "TERM,100,KILL";
@@ -354,18 +356,84 @@ TEST(ShardedDispatch, AutoModeStaysSerialForSmallRuns) {
   EXPECT_EQ(summary.dispatch.dispatcher_threads, 0u);
 }
 
-TEST(ShardedDispatch, GloballyOrderedFeaturesFallBackToSerial) {
-  // --delay needs one globally ordered dispatch decision per start, so an
-  // explicit --dispatchers request must still fall back to the serial loop.
-  Options options = sharded_options(4);
-  options.delay_seconds = 0.01;
-  exec::LocalExecutor executor;
-  std::ostringstream out, err;
-  Engine engine(options, executor, out, err);
-  RunSummary summary = engine.run("echo {}", numbered_inputs(4));
-  EXPECT_EQ(summary.succeeded, 4u);
-  EXPECT_EQ(summary.dispatch.dispatcher_threads, 0u);
+// Features that need one globally ordered decision per start (or the whole
+// job list up front) run on the same engine loop at any --dispatchers: each
+// must engage all four shards and produce what the serial loop produces.
+class ShardedFeature : public ::testing::TestWithParam<std::string> {
+ protected:
+  struct Run {
+    RunSummary summary;
+    std::string out;
+  };
+
+  static Run run_with(const std::string& feature, std::size_t dispatchers) {
+    constexpr int kJobs = 16;
+    Options options = sharded_options(dispatchers);
+    options.output_mode = OutputMode::kKeepOrder;
+    std::string command = "echo job-{}";
+    if (feature == "delay") {
+      options.delay_seconds = kDelay;
+    } else if (feature == "timeout_percent") {
+      // One straggler among uniform jobs: killed at 2x the median runtime.
+      options.timeout_percent = 200.0;
+      command = "if [ {} -eq 15 ]; then sleep 5; else sleep 0.1; fi; echo job-{}";
+    } else if (feature == "halt_percent") {
+      // The last eight jobs fail together; the eighth failure reaches 50%
+      // when nothing else is left running, so the halt is deterministic.
+      options.halt = HaltPolicy::parse("now,fail=50%");
+      command = "echo job-{}; [ {} -lt 8 ] || { sleep 0.2; exit 1; }";
+    } else if (feature == "shuf") {
+      options.shuffle = true;
+      options.shuffle_seed = 7;
+    } else if (feature == "memfree") {
+      options.memfree_bytes = 1;
+    }
+    exec::LocalExecutor executor;
+    std::ostringstream out, err;
+    Engine engine(options, executor, out, err);
+    Run run;
+    if (feature == "then") {
+      VectorSource upstream(numbered_inputs(kJobs / 2));
+      std::vector<StageSpec> stages(2);
+      stages[0].command = "echo first-{}";
+      stages[1].command = "echo second-{}";
+      StageChainSource chain(upstream, std::move(stages));
+      run.summary = engine.run_source(command, chain);
+    } else {
+      run.summary = engine.run(command, numbered_inputs(kJobs));
+    }
+    run.out = out.str();
+    return run;
+  }
+
+  static constexpr double kDelay = 0.02;
+};
+
+TEST_P(ShardedFeature, MatchesSerialAtFourDispatchers) {
+  Run serial = run_with(GetParam(), 1);
+  Run sharded = run_with(GetParam(), 4);
+  EXPECT_EQ(serial.summary.dispatch.dispatcher_threads, 0u);
+  EXPECT_EQ(sharded.summary.dispatch.dispatcher_threads, 4u);
+  EXPECT_EQ(sharded.out, serial.out);
+  EXPECT_EQ(sharded.summary.total, serial.summary.total);
+  EXPECT_EQ(sharded.summary.succeeded, serial.summary.succeeded);
+  EXPECT_EQ(sharded.summary.failed, serial.summary.failed);
+  EXPECT_EQ(sharded.summary.killed, serial.summary.killed);
+  EXPECT_EQ(sharded.summary.skipped, serial.summary.skipped);
+  EXPECT_EQ(sharded.summary.halted, serial.summary.halted);
+  if (GetParam() == "delay") {
+    const std::vector<double>& starts = sharded.summary.start_times;
+    ASSERT_EQ(starts.size(), 16u);
+    for (std::size_t i = 1; i < starts.size(); ++i) {
+      EXPECT_GE(starts[i] - starts[i - 1], kDelay - 1e-9) << "start " << i;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Features, ShardedFeature,
+                         ::testing::Values("delay", "timeout_percent", "halt_percent",
+                                           "shuf", "memfree", "then"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace parcl::core
