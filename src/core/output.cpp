@@ -1,6 +1,6 @@
 #include "core/output.hpp"
 
-#include "util/strings.hpp"
+#include <algorithm>
 
 namespace parcl::core {
 
@@ -18,17 +18,37 @@ OutputCollator::OutputCollator(OutputMode mode, TagFn tag, std::ostream& out,
     : mode_(mode), tag_(std::move(tag)), out_(out), err_(err) {}
 
 void OutputCollator::emit(const JobResult& result) {
+  // Every line leaves '\n'-terminated: the job's buffer goes out in one
+  // write, plus a '\n' only when its last line is open. Tagged output is
+  // built whole first, then written once.
   auto write_stream = [&](std::ostream& stream, const std::string& data, bool count) {
     if (data.empty()) return;
+    const bool open_last = data.back() != '\n';
     std::string prefix;
     if (tag_) {
       prefix = tag_(result);
       if (!prefix.empty()) prefix += "\t";
     }
-    for (const auto& line : util::split_lines(data)) {
-      stream << prefix << line << '\n';
-      if (count) ++lines_emitted_;
+    const auto lines = static_cast<std::size_t>(
+        std::count(data.begin(), data.end(), '\n') + (open_last ? 1 : 0));
+    if (count) lines_emitted_ += lines;
+    if (prefix.empty()) {
+      stream.write(data.data(), static_cast<std::streamsize>(data.size()));
+      if (open_last) stream.put('\n');
+      return;
     }
+    std::string tagged;
+    tagged.reserve(data.size() + (open_last ? 1 : 0) + lines * prefix.size());
+    std::size_t start = 0;
+    while (start < data.size()) {
+      std::size_t end = data.find('\n', start);
+      if (end == std::string::npos) end = data.size();
+      tagged += prefix;
+      tagged.append(data, start, end - start);
+      tagged += '\n';
+      start = end + 1;
+    }
+    stream.write(tagged.data(), static_cast<std::streamsize>(tagged.size()));
   };
   write_stream(out_, result.stdout_data, true);
   write_stream(err_, result.stderr_data, false);

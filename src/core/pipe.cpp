@@ -1,6 +1,7 @@
 #include "core/pipe.hpp"
 
 #include <istream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -25,10 +26,15 @@ std::optional<JobInput> PipeBlockSource::next() {
         cut = pending_.find(options_.record_separator, options_.block_bytes);
         if (cut == std::string::npos) break;  // record still open
       }
+      // The job takes the buffer itself; only the tail past the cut (less
+      // than one read chunk) is copied back, into room for a whole block.
       JobInput job;
-      job.stdin_data = pending_.substr(0, cut + 1);
+      job.stdin_data = std::move(pending_);
       job.has_stdin = true;
-      pending_.erase(0, cut + 1);
+      pending_.clear();
+      pending_.reserve(options_.block_bytes + sizeof(chunk));
+      pending_.append(job.stdin_data, cut + 1);
+      job.stdin_data.resize(cut + 1);
       return job;
     }
     if (eof_) break;

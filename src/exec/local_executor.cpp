@@ -5,6 +5,7 @@
 #include <signal.h>
 #include <spawn.h>
 #include <sys/eventfd.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -19,6 +20,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/shell.hpp"
@@ -77,13 +80,11 @@ void sigchld_self_pipe_handler(int) {
   errno = saved_errno;
 }
 
-/// True when a shell-mode command can skip /bin/sh: only plain words built
-/// from characters the shell never interprets, and a path-like first word
-/// (so shell builtins such as `exit` or `cd` keep their shell semantics).
-bool shell_bypass_safe(const std::string& command) {
+/// True when a shell-mode command is only plain words: characters the shell
+/// never interprets, and no variable assignment in the first word.
+bool plain_words(const std::string& command) {
   bool seen_word = false;
   bool in_first_word = true;
-  bool first_word_is_path = false;
   for (char c : command) {
     if (c == ' ') {
       if (seen_word) in_first_word = false;
@@ -95,9 +96,69 @@ bool shell_bypass_safe(const std::string& command) {
     // '=' is safe in arguments but a variable assignment in the first word.
     if (!plain && !(c == '=' && !in_first_word)) return false;
     seen_word = true;
-    if (in_first_word && c == '/') first_word_is_path = true;
   }
-  return seen_word && first_word_is_path;
+  return seen_word;
+}
+
+/// Names /bin/sh runs itself even when PATH holds a binary of that name:
+/// POSIX special and regular built-ins, dash/bash built-ins, and reserved
+/// words. Their shell and binary forms differ (`echo -e`, `kill %1`, `time`).
+bool shell_builtin(std::string_view name) {
+  static constexpr std::string_view kNames[] = {
+      ".",        ":",       "alias",   "bg",      "bind",     "break",
+      "builtin",  "caller",  "case",    "cd",      "chdir",    "command",
+      "compgen",  "complete", "compopt", "continue", "declare", "dirs",
+      "disown",   "do",      "done",    "echo",    "elif",     "else",
+      "enable",   "esac",    "eval",    "exec",    "exit",     "export",
+      "false",    "fc",      "fg",      "fi",      "for",      "function",
+      "getopts",  "hash",    "help",    "history", "if",       "in",
+      "jobs",     "kill",    "let",     "local",   "logout",   "mapfile",
+      "newgrp",   "popd",    "printf",  "pushd",   "pwd",      "read",
+      "readarray", "readonly", "return", "select",  "set",      "shift",
+      "shopt",    "source",  "suspend", "test",    "then",     "time",
+      "times",    "trap",    "true",    "type",    "typeset",  "ulimit",
+      "umask",    "unalias", "unset",   "until",   "wait",     "while"};
+  return std::find(std::begin(kNames), std::end(kNames), name) !=
+         std::end(kNames);
+}
+
+/// execvp's search for a bare name: the first PATH entry (an empty one
+/// meaning the current directory) holding an executable regular file, or ""
+/// when PATH is unset or no entry has one.
+std::string resolve_on_path(const std::string& name) {
+  const char* path = std::getenv("PATH");
+  if (path == nullptr) return {};
+  std::string_view dirs(path);
+  while (true) {
+    std::size_t colon = dirs.find(':');
+    std::string_view dir = dirs.substr(0, colon);
+    std::string candidate = dir.empty() ? "." : std::string(dir);
+    candidate += '/';
+    candidate += name;
+    struct stat st {};
+    if (stat(candidate.c_str(), &st) == 0 && S_ISREG(st.st_mode) &&
+        access(candidate.c_str(), X_OK) == 0) {
+      return candidate;
+    }
+    if (colon == std::string_view::npos) return {};
+    dirs.remove_prefix(colon + 1);
+  }
+}
+
+/// What a plain-words shell command's first word lets parcl exec in place
+/// of /bin/sh: the word itself when it is a path, the PATH hit for a bare
+/// name that is no shell built-in, or "" when the shell must run it. A job
+/// that overrides PATH, or a function exported under the name (`export -f`
+/// where /bin/sh is bash), leaves the lookup to the shell.
+std::string bypass_program(const std::string& word,
+                           const std::map<std::string, std::string>& env) {
+  if (word.find('/') != std::string::npos) return word;
+  if (shell_builtin(word) || env.count("PATH") != 0) return {};
+  const std::string function = "BASH_FUNC_" + word + "%%";
+  if (env.count(function) != 0 || std::getenv(function.c_str()) != nullptr) {
+    return {};
+  }
+  return resolve_on_path(word);
 }
 
 }  // namespace
@@ -216,13 +277,13 @@ void LocalExecutor::start(const core::ExecRequest& request) {
     envp = envp_vec.data();
   }
 
-  // Shell-mode commands with no metacharacters skip /bin/sh entirely: the
-  // shell would only exec the argv we can compose ourselves (GNU parallel
-  // applies the same optimization).
-  bool direct = !request.use_shell || shell_bypass_safe(request.command);
+  // Shell-mode commands with no metacharacters skip /bin/sh entirely when
+  // the shell would only exec the argv we can compose ourselves (GNU
+  // parallel applies the same optimization). --no-shell commands go through
+  // posix_spawnp's own PATH search.
   std::vector<std::string> argv_storage;
-  std::vector<char*> argv;
-  if (direct) {
+  std::string program;  // exec'd by posix_spawn; "" = posix_spawnp(argv[0])
+  if (!request.use_shell) {
     argv_storage = util::shell_split(request.command);
     if (argv_storage.empty()) {
       close_pair(out_pipe);
@@ -230,9 +291,16 @@ void LocalExecutor::start(const core::ExecRequest& request) {
       close_pair(in_pipe);
       throw util::ConfigError("empty command");
     }
-  } else {
-    argv_storage = {"/bin/sh", "-c", request.command};
+  } else if (plain_words(request.command)) {
+    argv_storage = util::shell_split(request.command);
+    program = bypass_program(argv_storage.front(), request.env);
   }
+  bool direct = !request.use_shell || !program.empty();
+  if (!direct) {
+    argv_storage = {"/bin/sh", "-c", request.command};
+    program = "/bin/sh";
+  }
+  std::vector<char*> argv;
   argv.reserve(argv_storage.size() + 1);
   for (auto& word : argv_storage) argv.push_back(word.data());
   argv.push_back(nullptr);
@@ -272,10 +340,11 @@ void LocalExecutor::start(const core::ExecRequest& request) {
                            POSIX_SPAWN_SETPGROUP | POSIX_SPAWN_SETSIGDEF);
 
   pid_t pid = -1;
-  int rc = direct ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
-                                 const_cast<char* const*>(envp))
-                  : posix_spawn(&pid, "/bin/sh", &actions, &attr, argv.data(),
-                                const_cast<char* const*>(envp));
+  int rc = program.empty()
+               ? posix_spawnp(&pid, argv[0], &actions, &attr, argv.data(),
+                              const_cast<char* const*>(envp))
+               : posix_spawn(&pid, program.c_str(), &actions, &attr,
+                             argv.data(), const_cast<char* const*>(envp));
   posix_spawn_file_actions_destroy(&actions);
   posix_spawnattr_destroy(&attr);
   if (rc != 0) {

@@ -7,7 +7,9 @@
 //
 // The dispatch hot path is event-driven:
 //   - children are spawned with posix_spawn (vfork-class clone on glibc),
-//     and shell-mode commands free of metacharacters skip /bin/sh entirely;
+//     and shell-mode commands free of metacharacters skip /bin/sh entirely
+//     when their first word is a path, or a bare name found on PATH that is
+//     not a shell built-in;
 //   - each child's exit is observed through a pidfd in the poll set (Linux
 //     pidfd_open), falling back to a SIGCHLD self-pipe where pidfds are
 //     unavailable, so a completion wakes wait_any() immediately and reaping

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/engine.hpp"
@@ -380,6 +384,85 @@ TEST(LocalExecutor, MetacharactersStillGoThroughTheShell) {
   EXPECT_EQ(executor.counters().direct_execs, 0u);
 }
 
+// The /bin/sh bypass decision, case by case: which shell-mode commands run
+// direct, and that either way a job's output and exit status are the
+// shell's. kShellStatus means "whatever `/bin/sh -c` itself exits with"
+// (`time` is a binary on some hosts and missing on others).
+constexpr int kShellStatus = -1;
+
+struct BypassCase {
+  const char* label;
+  const char* command;
+  std::optional<std::string> stdin_data;
+  std::map<std::string, std::string> env;
+  bool direct;
+  int exit_code;
+  std::string stdout_data;
+  std::string stderr_contains;
+};
+
+void PrintTo(const BypassCase& c, std::ostream* os) { *os << c.label; }
+
+class ShellBypass : public ::testing::TestWithParam<BypassCase> {};
+
+TEST_P(ShellBypass, RoutesAndKeepsShellResults) {
+  const BypassCase& c = GetParam();
+  LocalExecutor executor;
+  ExecRequest request;
+  request.job_id = 1;
+  request.command = c.command;
+  request.env = c.env;
+  if (c.stdin_data) {
+    request.stdin_data = *c.stdin_data;
+    request.has_stdin = true;
+  }
+  executor.start(request);
+  auto result = executor.wait_any(10.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(executor.counters().spawns, 1u);
+  EXPECT_EQ(executor.counters().direct_execs, c.direct ? 1u : 0u);
+  int expected = c.exit_code;
+  if (expected == kShellStatus) {
+    std::string quiet = std::string(c.command) + " >/dev/null 2>&1";
+    expected = WEXITSTATUS(std::system(quiet.c_str()));
+  }
+  EXPECT_EQ(result->term_signal, 0);
+  EXPECT_EQ(result->exit_code, expected);
+  EXPECT_EQ(result->stdout_data, c.stdout_data);
+  EXPECT_NE(result->stderr_data.find(c.stderr_contains), std::string::npos)
+      << result->stderr_data;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ShellBypass,
+    ::testing::Values(
+        BypassCase{"bare_cat", "cat", "a\n\nb\r\nopen", {}, true, 0,
+                   "a\n\nb\r\nopen", ""},
+        BypassCase{"bare_wc", "wc -l", "1\n2\n3\n", {}, true, 0, "3\n", ""},
+        BypassCase{"path_echo", "/bin/echo x", std::nullopt, {}, true, 0,
+                   "x\n", ""},
+        BypassCase{"metacharacters", "/bin/echo first && /bin/echo second",
+                   std::nullopt, {}, false, 0, "first\nsecond\n", ""},
+        BypassCase{"builtin_echo", "echo x", std::nullopt, {}, false, 0,
+                   "x\n", ""},
+        BypassCase{"builtin_true", "true", std::nullopt, {}, false, 0, "", ""},
+        BypassCase{"builtin_exit", "exit 3", std::nullopt, {}, false, 3, "",
+                   ""},
+        BypassCase{"builtin_cd", "cd /tmp", std::nullopt, {}, false, 0, "",
+                   ""},
+        BypassCase{"keyword_time", "time /bin/true", std::nullopt, {}, false,
+                   kShellStatus, "", ""},
+        BypassCase{"not_on_path", "parcl_no_such_cmd x", std::nullopt, {},
+                   false, 127, "", "not found"},
+        BypassCase{"job_sets_path", "cat", "kept\n",
+                   {{"PATH", "/usr/bin:/bin"}}, false, 0, "kept\n", ""},
+        BypassCase{"exported_function", "cat", "kept\n",
+                   {{"BASH_FUNC_cat%%", "() {  /bin/cat\n}"}}, false, 0,
+                   "kept\n", ""}),
+    [](const ::testing::TestParamInfo<BypassCase>& info) {
+      return std::string(info.param.label);
+    });
+
 TEST(LocalExecutor, EndTimeRecordedAtReap) {
   // end_time must come from the moment the child was reaped, not from a
   // later harvest pass — a /bin/true runtime is a couple of milliseconds.
@@ -448,8 +531,12 @@ TEST(LocalExecutor, PressureReportsRealHostNumbers) {
   // contract elsewhere is only "negative = unknown".
   LocalExecutor executor;
   core::ResourcePressure pressure = executor.pressure();
-  if (pressure.mem_free_bytes >= 0.0) EXPECT_GT(pressure.mem_free_bytes, 0.0);
-  if (pressure.load_avg >= 0.0) EXPECT_GE(pressure.load_avg, 0.0);
+  if (pressure.mem_free_bytes >= 0.0) {
+    EXPECT_GT(pressure.mem_free_bytes, 0.0);
+  }
+  if (pressure.load_avg >= 0.0) {
+    EXPECT_GE(pressure.load_avg, 0.0);
+  }
 }
 
 }  // namespace
