@@ -341,6 +341,11 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
   if (plan.options.pilot && plan.sshlogins.empty()) {
     throw util::ConfigError("--pilot requires --sshlogin");
   }
+  if (plan.options.pilot && plan.options.output_mode == OutputMode::kUngroup) {
+    throw util::ConfigError(
+        "-u/--ungroup cannot combine with --pilot: a worker agent always "
+        "captures job output");
+  }
   if (plan.worker_mode &&
       (plan.options.pilot || !plan.sshlogins.empty() || plan.semaphore ||
        !command_tokens.empty() || !plan.sources.empty())) {
@@ -387,10 +392,10 @@ RunPlan parse_cli(const std::vector<std::string>& argv) {
     }
     if (!plan.sshlogins.empty() || plan.semaphore || plan.worker_mode ||
         plan.options.pilot || !plan.graph_file.empty() ||
-        !plan.then_stages.empty()) {
+        !plan.then_stages.empty() || plan.options.pipe_mode) {
       throw util::ConfigError(
           "--client submits a flat job stream; --sshlogin, --semaphore, "
-          "--pilot, --worker, --graph, and --then do not apply");
+          "--pilot, --worker, --graph, --then, and --pipe do not apply");
     }
   }
   if (!plan.service.server) {

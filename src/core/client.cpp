@@ -1,9 +1,7 @@
 #include "core/client.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <iostream>
 #include <map>
@@ -78,20 +76,27 @@ class ServiceClient {
       return kExitConnectionLost;
     }
 
+    channel_ = transport::Channel(fd_);
+
     transport::ClientHelloFrame hello;
     hello.tenant = service.tenant;
     hello.weight = service.tenant_weight;
     hello.token = service.token;
-    if (!send(transport::encode_client_hello(hello))) return kExitConnectionLost;
-    std::optional<transport::Frame> reply = read_frame();
-    if (!reply) return kExitConnectionLost;
-    if (reply->type == transport::FrameType::kReject) {
-      transport::RejectFrame reject = transport::decode_reject(*reply);
+    channel_.send(transport::encode_client_hello(hello));
+    std::vector<transport::Frame> frames;
+    while (frames.empty()) {
+      if (!channel_.ok()) return kExitConnectionLost;
+      channel_.wait(-1, frames);
+    }
+    const transport::Frame& reply = frames.front();
+    if (reply.type == transport::FrameType::kReject) {
+      transport::RejectFrame reject = transport::decode_reject(reply);
       err_ << "parcl: --client: server refused: " << reject.message << "\n";
       return reject.code == RejectCode::kBadRequest ? kExitProtocol : kExitRefused;
     }
-    if (reply->type != transport::FrameType::kHelloAck) return kExitProtocol;
-    transport::decode_hello_ack(*reply);
+    if (reply.type != transport::FrameType::kHelloAck) return kExitProtocol;
+    transport::decode_hello_ack(reply);
+    frames.erase(frames.begin());  // anything behind the ACK is handled below
 
     CommandTemplate tmpl = CommandTemplate::parse(plan_.command_template);
     tmpl.ensure_input_placeholder();
@@ -139,17 +144,22 @@ class ServiceClient {
 
       if (pending_.empty() && (inputs_done_ || fatal_)) break;
 
-      std::optional<transport::Frame> frame = read_frame();
-      if (!frame) {
+      transport::Channel::Status status = transport::Channel::Status::kOpen;
+      if (frames.empty()) status = channel_.wait(-1, frames);
+      for (const transport::Frame& frame : frames) {
+        if (!handle(frame)) return finish(lost_code_);
+      }
+      frames.clear();
+      if (status != transport::Channel::Status::kOpen) {
         // EOF with work outstanding is a lost server; EOF after the books
         // are balanced is just the close we were about to do ourselves.
         return pending_.empty() && inputs_done_ ? finish(0)
                                                 : finish(kExitConnectionLost);
       }
-      if (!handle(*frame)) return finish(lost_code_);
     }
 
-    send(transport::encode_bye());
+    channel_.send(transport::encode_bye());
+    channel_.drain(std::chrono::steady_clock::now() + transport::kFarewellFlush);
     return finish(0);
   }
 
@@ -168,7 +178,7 @@ class ServiceClient {
   bool submit(const std::vector<transport::JobSpec>& jobs) {
     transport::SubmitFrame frame;
     frame.jobs = jobs;
-    return send(transport::encode_submit(frame));
+    return channel_.send(transport::encode_submit(frame));
   }
 
   /// Processes one inbound frame; false = stop the run with lost_code_.
@@ -315,45 +325,12 @@ class ServiceClient {
     return static_cast<int>(std::min<std::size_t>(failures_, 101));
   }
 
-  bool send(const std::string& bytes) {
-    std::size_t done = 0;
-    while (done < bytes.size()) {
-      ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;
-      }
-      done += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Blocking read of the next complete frame (nullopt on EOF/error).
-  std::optional<transport::Frame> read_frame() {
-    try {
-      while (true) {
-        if (std::optional<transport::Frame> frame = decoder_.next()) return frame;
-        char buffer[65536];
-        ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          return std::nullopt;
-        }
-        if (n == 0) return std::nullopt;
-        decoder_.feed(buffer, static_cast<std::size_t>(n));
-      }
-    } catch (const transport::ProtocolError&) {
-      lost_code_ = kExitProtocol;
-      return std::nullopt;
-    }
-  }
-
   const RunPlan& plan_;
   std::istream& in_;
   std::ostream& out_;
   std::ostream& err_;
   int fd_ = -1;
-  transport::FrameDecoder decoder_;
+  transport::Channel channel_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_emit_ = 1;
   std::size_t total_jobs_ = 0;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -17,6 +18,7 @@
 #include "exec/local_executor.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace parcl::core {
@@ -572,17 +574,12 @@ namespace {
 /// it is dropped as half-open (a connect scan, a hung client).
 constexpr double kHelloTimeout = 10.0;
 
-/// Budget for flushing buffered tail frames (final RESULTs, BYE) to slow
-/// clients on shutdown before falling back to joblog-is-delivery.
-constexpr double kShutdownFlushTimeout = 5.0;
-
 struct Connection {
-  int fd = -1;
-  transport::FrameDecoder decoder;
-  std::string outbuf;
+  int fd = -1;  // owned; -1 once dropped
+  transport::Channel channel;
   std::string tenant;
   bool hello_done = false;
-  bool closing = false;  // flush outbuf, then close (no more reads)
+  bool closing = false;  // flush the channel, then close (no more reads)
   bool clean_bye = false;
   double opened_at = 0.0;
 };
@@ -623,7 +620,7 @@ class ServiceLoop {
         for (int fd : listeners_) ::close(fd);
         listeners_.clear();
         for (auto& connection : connections_) {
-          if (connection->hello_done) send(*connection, transport::encode_drain());
+          if (connection->hello_done) connection->channel.send(transport::encode_drain());
         }
       }
       if (signal_count >= 2 && !killed_) {
@@ -634,13 +631,13 @@ class ServiceLoop {
       if (core_.draining() && core_.running_count() == 0) {
         core_.flush();
         for (auto& connection : connections_) {
-          if (connection->hello_done) send(*connection, transport::encode_bye());
+          if (connection->hello_done) connection->channel.send(transport::encode_bye());
         }
-        // Tail RESULT/BYE frames may still sit in outbufs (nonblocking
-        // writes hit EAGAIN on slow clients); give each socket a bounded
-        // POLLOUT drain before the close. Past the deadline the joblog is
-        // the delivery contract.
-        drain_outbufs(kShutdownFlushTimeout);
+        // Tail RESULT/BYE frames may still be queued (slow clients); give
+        // the channels one bounded drain before the close. Past the deadline
+        // the joblog is the delivery contract.
+        auto deadline = std::chrono::steady_clock::now() + transport::kFarewellFlush;
+        for (auto& connection : connections_) connection->channel.drain(deadline);
         return 0;
       }
 
@@ -658,8 +655,8 @@ class ServiceLoop {
     for (int fd : listeners_) fds.push_back({fd, POLLIN, 0});
     for (auto& connection : connections_) {
       short events = connection->closing ? 0 : POLLIN;
-      if (!connection->outbuf.empty()) events |= POLLOUT;
-      fds.push_back({connection->fd, events, 0});
+      if (connection->channel.want_write()) events |= POLLOUT;
+      fds.push_back({connection->channel.read_fd(), events, 0});
     }
     // Short timeout while jobs run (completions come from the executor, not
     // a socket); long-poll when idle.
@@ -686,9 +683,31 @@ class ServiceLoop {
           continue;
         }
       }
-      if ((revents & POLLIN) && !connection.closing) read_frames(connection);
-      if ((revents & POLLOUT) && connection.fd >= 0) flush_writes(connection);
+      if (revents & POLLOUT) connection.channel.flush();
+      if ((revents & POLLIN) && !connection.closing) {
+        std::vector<transport::Frame> frames;
+        connection.channel.read(frames);
+        try {
+          for (const transport::Frame& frame : frames) {
+            handle_frame(connection, frame);
+            if (connection.fd < 0 || connection.closing) break;
+          }
+        } catch (const transport::ProtocolError&) {
+          drop(connection, /*orphaned=*/true);  // a payload that does not parse
+        }
+      }
+      drop_if_failed(connection);
     }
+  }
+
+  /// EOF, a failed read or write, or a malformed stream (oversized length
+  /// prefix, unknown type, torn frame) ends the connection. A misbehaving
+  /// client is cut loose; everyone else is untouched.
+  void drop_if_failed(Connection& connection) {
+    if (connection.fd < 0 || connection.channel.ok()) return;
+    bool protocol =
+        connection.channel.status() == transport::Channel::Status::kProtocolError;
+    drop(connection, /*orphaned=*/protocol || !connection.clean_bye);
   }
 
   void accept_all(int listener) {
@@ -700,38 +719,9 @@ class ServiceLoop {
       }
       auto connection = std::make_unique<Connection>();
       connection->fd = fd;
-      connection->opened_at = now();
+      connection->channel = transport::Channel(fd);
+      connection->opened_at = util::monotonic_seconds();
       connections_.push_back(std::move(connection));
-    }
-  }
-
-  void read_frames(Connection& connection) {
-    char buffer[65536];
-    while (connection.fd >= 0) {
-      ssize_t n = ::read(connection.fd, buffer, sizeof(buffer));
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        drop(connection, /*orphaned=*/true);
-        return;
-      }
-      if (n == 0) {
-        drop(connection, /*orphaned=*/!connection.clean_bye);
-        return;
-      }
-      try {
-        connection.decoder.feed(buffer, static_cast<std::size_t>(n));
-        while (auto frame = connection.decoder.next()) {
-          handle_frame(connection, *frame);
-          if (connection.fd < 0 || connection.closing) return;
-        }
-      } catch (const transport::ProtocolError&) {
-        // Oversized length prefix, unknown type, torn payload: the stream
-        // is unrecoverable. The misbehaving client is cut loose; everyone
-        // else is untouched.
-        drop(connection, /*orphaned=*/true);
-        return;
-      }
     }
   }
 
@@ -773,7 +763,7 @@ class ServiceLoop {
       connection.tenant = hello.tenant;
       connection.hello_done = true;
       by_tenant_[hello.tenant] = &connection;
-      send(connection, transport::encode_hello_ack({}));
+      connection.channel.send(transport::encode_hello_ack({}));
       return;
     }
     switch (frame.type) {
@@ -792,13 +782,13 @@ class ServiceLoop {
           }
         }
         // The journal writes above are on disk; only now may the ack exist.
-        if (!ack.seqs.empty()) send(connection, transport::encode_ack(ack));
+        if (!ack.seqs.empty()) connection.channel.send(transport::encode_ack(ack));
         if (core_.tenant_evicted(connection.tenant)) connection.closing = true;
         break;
       }
       case transport::FrameType::kBye:
         connection.clean_bye = true;
-        send(connection, transport::encode_bye());
+        connection.channel.send(transport::encode_bye());
         connection.closing = true;
         break;
       case transport::FrameType::kHeartbeat:
@@ -821,26 +811,9 @@ class ServiceLoop {
       frame.term_signal = result.term_signal;
       frame.start_time = result.start_time;
       frame.end_time = result.end_time;
-      frame.stdout_chunks = send_chunks(connection, transport::FrameType::kStdout,
-                                        result.seq, result.stdout_data);
-      frame.stderr_chunks = send_chunks(connection, transport::FrameType::kStderr,
-                                        result.seq, result.stderr_data);
-      send(connection, transport::encode_result(frame));
+      connection.channel.send(transport::encode_job_output(
+          frame, result.stdout_data, result.stderr_data));
     }
-  }
-
-  std::uint64_t send_chunks(Connection& connection, transport::FrameType type,
-                            std::uint64_t seq, const std::string& data) {
-    std::uint64_t index = 0;
-    for (std::size_t offset = 0; offset < data.size();
-         offset += transport::kChunkBytes) {
-      transport::ChunkFrame chunk;
-      chunk.seq = seq;
-      chunk.index = index++;
-      chunk.data = data.substr(offset, transport::kChunkBytes);
-      send(connection, transport::encode_chunk(type, chunk));
-    }
-    return index;
   }
 
   void reject(Connection& connection, std::uint64_t seq, RejectCode code,
@@ -850,66 +823,14 @@ class ServiceLoop {
     frame.code = code;
     frame.retry_after = retry_after;
     frame.message = message;
-    send(connection, transport::encode_reject(frame));
-  }
-
-  void send(Connection& connection, const std::string& encoded) {
-    if (connection.fd < 0) return;
-    connection.outbuf += encoded;
-    flush_writes(connection);
-  }
-
-  void flush_writes(Connection& connection) {
-    while (connection.fd >= 0 && !connection.outbuf.empty()) {
-      ssize_t n = ::write(connection.fd, connection.outbuf.data(),
-                          connection.outbuf.size());
-      if (n < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-        if (errno == EINTR) continue;
-        drop(connection, /*orphaned=*/!connection.clean_bye);
-        return;
-      }
-      connection.outbuf.erase(0, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// Blocking best-effort drain of every connection's outbuf: poll POLLOUT
-  /// and rewrite until all buffers empty or `budget` seconds elapse. Used
-  /// only on the shutdown path, where the nonblocking loop is about to
-  /// stop turning.
-  void drain_outbufs(double budget) {
-    const double deadline = now() + budget;
-    while (true) {
-      std::vector<pollfd> fds;
-      std::vector<Connection*> waiting;
-      for (auto& connection : connections_) {
-        if (connection->fd >= 0 && !connection->outbuf.empty()) {
-          fds.push_back({connection->fd, POLLOUT, 0});
-          waiting.push_back(connection.get());
-        }
-      }
-      if (fds.empty()) return;
-      double remaining = deadline - now();
-      if (remaining <= 0.0) return;
-      int ready = ::poll(fds.data(), fds.size(),
-                         static_cast<int>(remaining * 1000.0) + 1);
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        return;
-      }
-      if (ready == 0) return;  // deadline hit with clients still stalled
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (fds[i].revents & (POLLOUT | POLLERR | POLLHUP | POLLNVAL)) {
-          flush_writes(*waiting[i]);
-        }
-      }
-    }
+    connection.channel.send(transport::encode_reject(frame));
   }
 
   void drop(Connection& connection, bool orphaned) {
     if (connection.fd < 0) return;
     ::close(connection.fd);
     connection.fd = -1;
+    connection.channel = transport::Channel{};
     if (connection.hello_done) {
       by_tenant_.erase(connection.tenant);
       core_.detach_tenant(connection.tenant, orphaned);
@@ -917,14 +838,15 @@ class ServiceLoop {
   }
 
   void sweep() {
-    double t = now();
+    double t = util::monotonic_seconds();
     for (auto& connection : connections_) {
       if (connection->fd >= 0 && !connection->hello_done &&
           t - connection->opened_at > kHelloTimeout) {
         drop(*connection, /*orphaned=*/false);
       }
+      drop_if_failed(*connection);
       if (connection->fd >= 0 && connection->closing &&
-          connection->outbuf.empty()) {
+          !connection->channel.want_write()) {
         drop(*connection, /*orphaned=*/!connection->clean_bye);
       }
     }
@@ -932,12 +854,6 @@ class ServiceLoop {
         std::remove_if(connections_.begin(), connections_.end(),
                        [](const std::unique_ptr<Connection>& c) { return c->fd < 0; }),
         connections_.end());
-  }
-
-  static double now() {
-    struct timespec ts{};
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
   }
 
   ServerCore& core_;

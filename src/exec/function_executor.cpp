@@ -1,25 +1,17 @@
 #include "exec/function_executor.hpp"
 
-#include <chrono>
-
 #include <csignal>
+
+#include "util/stopwatch.hpp"
 
 namespace parcl::exec {
 
-namespace {
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
 FunctionExecutor::FunctionExecutor(TaskFn task, std::size_t threads)
-    : task_(std::move(task)), pool_(threads), epoch_(monotonic_seconds()) {}
+    : task_(std::move(task)), pool_(threads), epoch_(util::monotonic_seconds()) {}
 
 FunctionExecutor::~FunctionExecutor() { pool_.wait_idle(); }
 
-double FunctionExecutor::now() const { return monotonic_seconds() - epoch_; }
+double FunctionExecutor::now() const { return util::monotonic_seconds() - epoch_; }
 
 std::size_t FunctionExecutor::active_count() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -1,22 +1,12 @@
 #include "exec/host_probe.hpp"
 
-#include <chrono>
 #include <fstream>
 #include <sstream>
 
+#include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace parcl::exec {
-
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 HostProbe::HostProbe(double cache_seconds)
     : meminfo_path_("/proc/meminfo"),
@@ -30,7 +20,7 @@ HostProbe::HostProbe(std::string meminfo_path, std::string loadavg_path,
       cache_seconds_(cache_seconds) {}
 
 core::ResourcePressure HostProbe::sample() {
-  double now = steady_seconds();
+  double now = util::monotonic_seconds();
   if (last_sample_ >= 0.0 && now - last_sample_ < cache_seconds_) return cached_;
   cached_ = read_now();
   last_sample_ = now;

@@ -25,18 +25,13 @@
 
 #include "util/error.hpp"
 #include "util/shell.hpp"
+#include "util/stopwatch.hpp"
 
 extern char** environ;
 
 namespace parcl::exec {
 
 namespace {
-
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void set_nonblocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
@@ -163,7 +158,7 @@ std::string bypass_program(const std::string& word,
 
 }  // namespace
 
-LocalExecutor::LocalExecutor() : epoch_(monotonic_seconds()) {
+LocalExecutor::LocalExecutor() : epoch_(util::monotonic_seconds()) {
   // A child dying while we are mid-write to a closed pipe must not kill us.
   // Children get the default disposition back through posix_spawn's sigdefault
   // set; our own prior disposition is restored on destruction.
@@ -221,7 +216,7 @@ LocalExecutor::~LocalExecutor() {
   if (wake_fd_ >= 0) close(wake_fd_);
 }
 
-double LocalExecutor::now() const { return monotonic_seconds() - epoch_; }
+double LocalExecutor::now() const { return util::monotonic_seconds() - epoch_; }
 
 void LocalExecutor::wake() {
   if (wake_fd_ < 0) return;
@@ -232,7 +227,7 @@ void LocalExecutor::wake() {
 void LocalExecutor::start(const core::ExecRequest& request) {
   util::require(children_.find(request.job_id) == children_.end(),
                 "duplicate job id in LocalExecutor::start");
-  double t0 = monotonic_seconds();
+  double t0 = util::monotonic_seconds();
 
   int out_pipe[2] = {-1, -1};
   int err_pipe[2] = {-1, -1};
@@ -407,7 +402,7 @@ void LocalExecutor::start(const core::ExecRequest& request) {
   }
   ++counters_.spawns;
   if (direct && request.use_shell) ++counters_.direct_execs;
-  counters_.spawn_seconds += monotonic_seconds() - t0;
+  counters_.spawn_seconds += util::monotonic_seconds() - t0;
 }
 
 bool LocalExecutor::finished(const Child& child) noexcept {
@@ -656,7 +651,7 @@ void LocalExecutor::dispatch_event(std::size_t slot, short revents) {
 
 std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) {
   double deadline =
-      timeout_seconds < 0.0 ? -1.0 : monotonic_seconds() + timeout_seconds;
+      timeout_seconds < 0.0 ? -1.0 : util::monotonic_seconds() + timeout_seconds;
   if (need_sweep_) sweep_unreaped();
   if (free_slots_.size() > 32 && free_slots_.size() > pollfds_.size() / 2) {
     compact_poll_set();
@@ -681,7 +676,7 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
     if (children_.empty()) {
       if (deadline < 0.0) return std::nullopt;
       // Honour the engine's --delay sleep even with nothing running.
-      double remaining = deadline - monotonic_seconds();
+      double remaining = deadline - util::monotonic_seconds();
       if (remaining <= 0.0) return std::nullopt;
       struct timespec ts;
       ts.tv_sec = static_cast<time_t>(remaining);
@@ -700,7 +695,7 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
     if (deadline < 0.0) {
       timeout_ms = capped_poll() ? 100 : -1;
     } else {
-      double remaining = deadline - monotonic_seconds();
+      double remaining = deadline - util::monotonic_seconds();
       if (remaining <= 0.0) {
         if (deadline_polled) return std::nullopt;
         deadline_polled = true;
@@ -711,11 +706,11 @@ std::optional<core::ExecResult> LocalExecutor::wait_any(double timeout_seconds) 
       }
     }
 
-    double t0 = monotonic_seconds();
+    double t0 = util::monotonic_seconds();
     int nready =
         poll(pollfds_.data(), static_cast<nfds_t>(pollfds_.size()), timeout_ms);
     ++counters_.polls;
-    counters_.poll_wait_seconds += monotonic_seconds() - t0;
+    counters_.poll_wait_seconds += util::monotonic_seconds() - t0;
     if (nready < 0) {
       if (errno == EINTR) continue;
       throw util::SystemError("poll", errno);

@@ -3,20 +3,14 @@
 #include <errno.h>
 #include <time.h>
 
-#include <chrono>
-
 #include "exec/local_executor.hpp"
 #include "util/error.hpp"
 #include "util/shell.hpp"
+#include "util/stopwatch.hpp"
 
 namespace parcl::exec {
 
 namespace {
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void nap_2ms() {
   struct timespec ts{0, 2'000'000};
@@ -135,7 +129,7 @@ HostState MultiExecutor::host_state(const std::string& name) const {
   throw util::ConfigError("unknown host '" + name + "'");
 }
 
-double MultiExecutor::now() const { return monotonic_seconds(); }
+double MultiExecutor::now() const { return util::monotonic_seconds(); }
 
 bool MultiExecutor::slot_usable(std::size_t slot) const {
   std::size_t index = host_index_of_slot(slot);
@@ -467,9 +461,10 @@ void MultiExecutor::finalize(core::ExecResult& result, std::size_t host_index) {
   bool deliberate = deliberate_kills_.erase(result.job_id) > 0;
   bool was_lost = lost_.erase(result.job_id) > 0;
   // Transport-level death: the wrapper (ssh) exits 255 when the connection
-  // fails, so with a wrapper present the job likely never ran.
+  // fails, so with a wrapper present the job likely never ran. A pilot job
+  // runs unwrapped; its 255 is its own (pilot losses arrive as host_failure).
   bool transport = result.term_signal == 0 && result.exit_code == 255 &&
-                   !host.spec.wrapper.empty();
+                   !host.spec.wrapper.empty() && host.pilot == nullptr;
   if (was_lost) {
     result.host_failure = true;  // killed by quarantine, requeue free
   } else if (deliberate) {

@@ -1,7 +1,6 @@
 #include "exec/pilot_executor.hpp"
 
 #include <errno.h>
-#include <poll.h>
 #include <signal.h>
 #include <spawn.h>
 #include <string.h>
@@ -16,6 +15,7 @@
 #include <thread>
 
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 extern char** environ;
 
@@ -23,33 +23,8 @@ namespace parcl::exec {
 
 namespace {
 
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
-}
-
-/// SIGPIPE-safe write of the full buffer: MSG_NOSIGNAL on sockets, plain
-/// write on pipes (the ssh path; PilotExecutor's constructor parks SIGPIPE
-/// at SIG_IGN for that case).
-bool write_all_fd(int fd, const std::string& bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -228,8 +203,8 @@ PilotExecutor::PilotExecutor(std::unique_ptr<WorkerTransport> transport,
   stall_after_ = settings_.stall_after > 0.0
                      ? settings_.stall_after
                      : 5.0 * settings_.heartbeat_interval;
-  // The ssh-pipe write path can raise SIGPIPE; park it like LocalExecutor
-  // does so a dying worker surfaces as a write error, not a process kill.
+  // Park SIGPIPE like LocalExecutor does, so a pilot run and a local run
+  // treat a closed pipe alike: a write error, not a process kill.
   struct sigaction ignore {};
   ignore.sa_handler = SIG_IGN;
   if (::sigaction(SIGPIPE, &ignore, &saved_sigpipe_) == 0) {
@@ -243,7 +218,7 @@ PilotExecutor::~PilotExecutor() {
     // Graceful drain: let a process worker flush its journal and exit on
     // BYE instead of being killed mid-write. Bounded — a wedged worker is
     // simply cut off.
-    write_frame(transport::encode_drain());
+    channel_.send(transport::encode_drain());
     double deadline = now() + 0.5;
     while (attached_ && !bye_received_ && now() < deadline) {
       pump_once(0.01);
@@ -256,7 +231,7 @@ PilotExecutor::~PilotExecutor() {
   }
 }
 
-double PilotExecutor::now() const { return monotonic_seconds(); }
+double PilotExecutor::now() const { return util::monotonic_seconds(); }
 
 double PilotExecutor::heartbeat_age() const {
   // Deliberately keeps growing across a detach: the silence that started on
@@ -284,6 +259,16 @@ void PilotExecutor::start(const core::ExecRequest& request) {
   spec.has_stdin = request.has_stdin;
   spec.stdin_data = request.stdin_data;
   spec.env.assign(request.env.begin(), request.env.end());
+  if (4 + transport::encoded_size(spec) > transport::kMaxFramePayload) {
+    // No SUBMIT frame can carry this job. It fails alone; the channel and
+    // the host are fine.
+    core::ExecResult& result = complete_locally(request.job_id);
+    result.exit_code = 255;
+    result.stderr_data = "parcl: --pilot: job of " +
+                         std::to_string(transport::encoded_size(spec)) +
+                         " bytes exceeds the 16 MiB frame limit\n";
+    return;
+  }
   Inflight entry;
   entry.spec = std::move(spec);
   inflight_[request.job_id] = std::move(entry);
@@ -293,31 +278,32 @@ void PilotExecutor::start(const core::ExecRequest& request) {
   }
 }
 
-bool PilotExecutor::write_frame(const std::string& bytes) {
-  if (fd_ < 0) return false;
-  if (!write_all_fd(fd_, bytes)) {
-    detach();
-    return false;
-  }
-  return true;
-}
-
 void PilotExecutor::flush_submits() {
   if (!attached_ || unsent_.empty()) return;
   transport::SubmitFrame submit;
+  std::size_t payload = 4;  // the u32 job count
+  auto send_batch = [&] {
+    if (submit.jobs.empty()) return;
+    ++counters_.batches_sent;
+    counters_.jobs_submitted += submit.jobs.size();
+    // If the link dies before the frame is out, the jobs stay marked sent:
+    // the worker may or may not have seen it, and the next HELLO's journal
+    // settles it.
+    channel_.send(transport::encode_submit(submit));
+    submit.jobs.clear();
+    payload = 4;
+  };
   for (std::uint64_t seq : unsent_) {
     auto it = inflight_.find(seq);
     if (it == inflight_.end() || it->second.sent) continue;
-    submit.jobs.push_back(it->second.spec);
+    std::size_t size = transport::encoded_size(it->second.spec);
+    if (payload + size > transport::kMaxFramePayload) send_batch();
+    payload += size;
+    submit.jobs.push_back(std::move(it->second.spec));
     it->second.sent = true;
   }
   unsent_.clear();
-  if (submit.jobs.empty()) return;
-  ++counters_.batches_sent;
-  counters_.jobs_submitted += submit.jobs.size();
-  // On write failure the jobs stay marked sent: the worker may or may not
-  // have seen the partial frame, and the next HELLO's journal settles it.
-  write_frame(transport::encode_submit(submit));
+  send_batch();
 }
 
 bool PilotExecutor::attach_once() {
@@ -329,36 +315,32 @@ bool PilotExecutor::attach_once() {
     return false;
   }
   fd_ = fd;
-  decoder_ = transport::FrameDecoder{};
+  channel_ = transport::Channel(fd_);
   double deadline = now() + settings_.handshake_timeout;
-  char buffer[64 * 1024];
+  std::vector<transport::Frame> frames;
   while (now() < deadline) {
-    struct pollfd pfd{fd_, POLLIN, 0};
-    int rc = ::poll(&pfd, 1, 10);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0 || (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      break;
+    transport::Channel::Status status = channel_.wait(10, frames);
+    if (frames.empty()) {
+      if (status == transport::Channel::Status::kProtocolError) {
+        ++counters_.protocol_errors;
+      }
+      if (status != transport::Channel::Status::kOpen) break;
+      continue;  // HELLO still partial
     }
     try {
-      decoder_.feed(buffer, static_cast<std::size_t>(n));
-      std::optional<transport::Frame> frame = decoder_.next();
-      if (!frame) continue;  // HELLO still partial
-      if (frame->type != transport::FrameType::kHello) {
-        throw transport::ProtocolError("expected HELLO, got " +
-                                       std::string(transport::to_string(frame->type)));
+      const transport::FrameType type = frames.front().type;
+      if (type != transport::FrameType::kHello) {
+        throw transport::ProtocolError(std::string("expected HELLO, got ") +
+                                       transport::to_string(type));
       }
-      transport::HelloFrame hello = transport::decode_hello(*frame);
+      transport::HelloFrame hello = transport::decode_hello(frames.front());
       if (hello.version != transport::kProtocolVersion) {
         // Version skew cannot heal by reconnecting; poison the channel.
         version_rejected_ = true;
         break;
       }
       transport::HelloAckFrame ack;
-      if (!write_all_fd(fd_, transport::encode_hello_ack(ack))) break;
+      if (!channel_.send(transport::encode_hello_ack(ack))) break;
       attached_ = true;
       last_inbound_ = now();
       clock_offset_ = now() - hello.worker_now;
@@ -366,6 +348,8 @@ bool PilotExecutor::attach_once() {
       if (ever_attached_) ++counters_.reconnects;
       ever_attached_ = true;
       bye_received_ = false;
+      inbound_.assign(std::make_move_iterator(frames.begin() + 1),
+                      std::make_move_iterator(frames.end()));
       reconcile(hello);
       return true;
     } catch (const transport::ProtocolError&) {
@@ -375,7 +359,7 @@ bool PilotExecutor::attach_once() {
   }
   close_quiet(fd_);
   fd_ = -1;
-  decoder_ = transport::FrameDecoder{};
+  channel_ = transport::Channel{};
   transport_->disconnect();
   ++counters_.connect_failures;
   return false;
@@ -398,7 +382,8 @@ void PilotExecutor::detach() {
   close_quiet(fd_);
   fd_ = -1;
   attached_ = false;
-  decoder_ = transport::FrameDecoder{};
+  channel_ = transport::Channel{};
+  inbound_.clear();
   // Frames the chaos filter was holding die with the connection.
   fault_filter_.reset_connection();
   if (transport_) transport_->disconnect();
@@ -431,16 +416,21 @@ void PilotExecutor::reconcile(const transport::HelloFrame& hello) {
   flush_submits();
 }
 
-void PilotExecutor::surface_lost(std::uint64_t seq) {
+core::ExecResult& PilotExecutor::complete_locally(std::uint64_t seq) {
   core::ExecResult result;
   result.job_id = seq;
-  result.exit_code = 255;
-  result.host_failure = true;
   result.start_time = result.end_time = now();
   completed_.push_back(std::move(result));
   delivered_.insert(seq);
   inflight_.erase(seq);
   unsent_.erase(std::remove(unsent_.begin(), unsent_.end(), seq), unsent_.end());
+  return completed_.back();
+}
+
+void PilotExecutor::surface_lost(std::uint64_t seq) {
+  core::ExecResult& result = complete_locally(seq);
+  result.exit_code = 255;
+  result.host_failure = true;
   ++counters_.jobs_reconciled_lost;
 }
 
@@ -448,7 +438,7 @@ void PilotExecutor::send_ack(std::uint64_t seq) {
   if (!attached_) return;
   transport::AckFrame ack;
   ack.seqs.push_back(seq);
-  write_frame(transport::encode_ack(ack));
+  channel_.send(transport::encode_ack(ack));
 }
 
 void PilotExecutor::handle_chunk(const transport::Frame& frame) {
@@ -550,47 +540,15 @@ void PilotExecutor::pump_once(double poll_seconds) {
   if (!attached_) return;
   std::vector<transport::Frame> ready;
   fault_filter_.release_due(now(), ready);
-
-  // Frames may already be buffered from the handshake read (journal replay
-  // rides right behind HELLO): drain them before deciding whether to block.
-  try {
-    while (std::optional<transport::Frame> frame = decoder_.next()) {
-      ++counters_.frames_received;
-      fault_filter_.filter(std::move(*frame), now(), ready);
-    }
-  } catch (const transport::ProtocolError&) {
-    ++counters_.protocol_errors;
-    detach();
-  }
-  if (!attached_) return;
-
-  struct pollfd pfd{fd_, POLLIN, 0};
-  int timeout_ms = static_cast<int>(poll_seconds * 1000.0);
-  if (timeout_ms < 0) timeout_ms = 0;
+  std::vector<transport::Frame> frames = std::move(inbound_);
+  inbound_.clear();
+  int timeout_ms = std::max(static_cast<int>(poll_seconds * 1000.0), 0);
   // Held (delayed/reordered) frames need timely release even on a silent
   // link; never sleep long while the filter holds traffic.
-  int rc = ::poll(&pfd, 1, ready.empty() ? timeout_ms : 0);
-  if (rc < 0 && errno != EINTR) {
-    detach();
-  } else if (rc > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-    char buffer[64 * 1024];
-    ssize_t n = ::read(fd_, buffer, sizeof(buffer));
-    if (n == 0) {
-      detach();
-    } else if (n < 0) {
-      if (errno != EINTR && errno != EAGAIN) detach();
-    } else {
-      try {
-        decoder_.feed(buffer, static_cast<std::size_t>(n));
-        while (std::optional<transport::Frame> frame = decoder_.next()) {
-          ++counters_.frames_received;
-          fault_filter_.filter(std::move(*frame), now(), ready);
-        }
-      } catch (const transport::ProtocolError&) {
-        ++counters_.protocol_errors;
-        detach();
-      }
-    }
+  channel_.wait(ready.empty() && frames.empty() ? timeout_ms : 0, frames);
+  for (transport::Frame& frame : frames) {
+    ++counters_.frames_received;
+    fault_filter_.filter(std::move(frame), now(), ready);
   }
 
   try {
@@ -603,6 +561,13 @@ void PilotExecutor::pump_once(double poll_seconds) {
     detach();
   }
 
+  // A failed write (from a send above or earlier) or the end of the stream.
+  if (attached_ && !channel_.ok()) {
+    if (channel_.status() == transport::Channel::Status::kProtocolError) {
+      ++counters_.protocol_errors;
+    }
+    detach();
+  }
   if (attached_ && fault_filter_.kill_due()) {
     // Scheduled mid-run connection kill: the link dies, jobs stay in
     // flight, and the next attach reconciles against the journal.
@@ -631,16 +596,8 @@ std::optional<core::ExecResult> PilotExecutor::wait_any(double timeout_seconds) 
       completed_.pop_front();
       return result;
     }
-    if (dead_) {
-      // Nothing can complete any more (mark_dead flushed every in-flight
-      // job into completed_, which is empty here).
-      if (deadline < 0) return std::nullopt;
-      double remaining = deadline - now();
-      if (remaining <= 0) return std::nullopt;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          std::min(remaining, 0.01)));
-      continue;
-    }
+    // A Dead channel has no jobs (mark_dead surfaced them all) and sleeps
+    // out the wait below.
     bool have_jobs = !inflight_.empty() || !unsent_.empty();
     if (!attached_ && have_jobs) {
       reconnect();
@@ -686,15 +643,7 @@ void PilotExecutor::kill_signal(std::uint64_t job_id, int sig) {
   if (it == inflight_.end()) return;  // unknown or already surfaced: no-op
   if (!it->second.sent) {
     // Never reached a worker: complete it locally as signal-killed.
-    core::ExecResult result;
-    result.job_id = job_id;
-    result.term_signal = sig == 0 ? SIGTERM : sig;
-    result.start_time = result.end_time = now();
-    completed_.push_back(std::move(result));
-    delivered_.insert(job_id);
-    inflight_.erase(it);
-    unsent_.erase(std::remove(unsent_.begin(), unsent_.end(), job_id),
-                  unsent_.end());
+    complete_locally(job_id).term_signal = sig == 0 ? SIGTERM : sig;
     return;
   }
   if (!attached_) return;  // loss reconciliation will settle it
@@ -702,7 +651,7 @@ void PilotExecutor::kill_signal(std::uint64_t job_id, int sig) {
   frame.seq = job_id;
   frame.signal = sig == SIGKILL ? 0 : sig;
   frame.force = sig == SIGKILL;
-  write_frame(transport::encode_kill(frame));
+  channel_.send(transport::encode_kill(frame));
 }
 
 bool PilotExecutor::probe_transport() {

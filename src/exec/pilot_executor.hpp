@@ -46,9 +46,10 @@
 namespace parcl::exec {
 
 /// How the pilot reaches — and re-reaches — its worker agent. connect()
-/// returns a blocking full-duplex fd the transport no longer owns for
-/// reading/writing (the pilot closes it); disconnect() is the hook where
-/// process transports reap/respawn and thread transports recycle.
+/// returns a full-duplex fd the transport no longer owns for
+/// reading/writing (the pilot sets it O_NONBLOCK and closes it);
+/// disconnect() is the hook where process transports reap/respawn and
+/// thread transports recycle.
 class WorkerTransport {
  public:
   virtual ~WorkerTransport() = default;
@@ -193,7 +194,7 @@ class PilotExecutor final : public core::Executor {
 
  private:
   struct Inflight {
-    transport::JobSpec spec;  // retained until sent (batch flush)
+    transport::JobSpec spec;  // moved into its SUBMIT batch when sent
     bool sent = false;
     std::map<std::uint64_t, std::string> out_chunks;
     std::map<std::uint64_t, std::string> err_chunks;
@@ -201,7 +202,8 @@ class PilotExecutor final : public core::Executor {
     bool killed_locally = false;  // killed while still queued
   };
 
-  bool write_frame(const std::string& bytes);
+  /// Sends the queued jobs, cutting a new SUBMIT frame before a batch
+  /// would pass the frame payload limit.
   void flush_submits();
   /// One connect + handshake attempt. Returns true when attached.
   bool attach_once();
@@ -212,14 +214,17 @@ class PilotExecutor final : public core::Executor {
   void mark_dead();
   /// Journal reconciliation against a fresh HELLO.
   void reconcile(const transport::HelloFrame& hello);
+  /// Completes a job without the worker (exit 0 until the caller sets the
+  /// outcome) and forgets it.
+  core::ExecResult& complete_locally(std::uint64_t seq);
   void surface_lost(std::uint64_t seq);
   void process_frame(const transport::Frame& frame);
   void handle_chunk(const transport::Frame& frame);
   void handle_result(const transport::Frame& frame);
   void try_deliver(std::uint64_t seq);
   void send_ack(std::uint64_t seq);
-  /// Reads whatever is available (bounded poll) and processes it; detects
-  /// loss, stalls, and scheduled connection kills.
+  /// Flushes and reads the channel (bounded poll) and processes what
+  /// arrived; detects loss, stalls, and scheduled connection kills.
   void pump_once(double poll_seconds);
 
   std::unique_ptr<WorkerTransport> transport_;
@@ -227,10 +232,13 @@ class PilotExecutor final : public core::Executor {
   double stall_after_ = 0.0;
 
   int fd_ = -1;
+  transport::Channel channel_;
+  /// Frames that arrived in the same read as HELLO (the journal replay
+  /// rides right behind it); the first pump processes them.
+  std::vector<transport::Frame> inbound_;
   bool attached_ = false;
   bool dead_ = false;
   bool version_rejected_ = false;  // permanent: reconnects cannot fix it
-  transport::FrameDecoder decoder_;
   transport::FrameFaultFilter fault_filter_;
 
   std::map<std::uint64_t, Inflight> inflight_;

@@ -1,7 +1,14 @@
 #include "exec/transport.hpp"
 
+#include <errno.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstring>
 
+#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace parcl::exec::transport {
@@ -42,23 +49,6 @@ namespace {
 bool known_type(std::uint8_t byte) noexcept {
   return byte >= static_cast<std::uint8_t>(FrameType::kHello) &&
          byte <= static_cast<std::uint8_t>(FrameType::kReject);
-}
-
-/// Wraps a payload into a full frame: u32 length + u8 type + payload.
-std::string frame_bytes(FrameType type, const std::string& payload) {
-  util::require(payload.size() <= kMaxFramePayload, "frame payload over limit");
-  std::string out;
-  out.reserve(5 + payload.size());
-  std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  char prefix[5];
-  prefix[0] = static_cast<char>(len & 0xff);
-  prefix[1] = static_cast<char>((len >> 8) & 0xff);
-  prefix[2] = static_cast<char>((len >> 16) & 0xff);
-  prefix[3] = static_cast<char>((len >> 24) & 0xff);
-  prefix[4] = static_cast<char>(type);
-  out.append(prefix, 5);
-  out += payload;
-  return out;
 }
 
 }  // namespace
@@ -153,6 +143,15 @@ void WireReader::expect_end() const {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Wraps a payload into a full frame: u32 length + u8 type + payload.
+std::string frame_bytes(FrameType type, const std::string& payload) {
+  util::require(payload.size() <= kMaxFramePayload, "frame payload over limit");
+  WireWriter prefix;
+  prefix.u32(static_cast<std::uint32_t>(payload.size()));
+  prefix.u8(static_cast<std::uint8_t>(type));
+  return prefix.take() + payload;
+}
 
 void put_result(WireWriter& w, const ResultFrame& r) {
   w.u64(r.seq);
@@ -293,6 +292,17 @@ SubmitFrame decode_submit(const Frame& frame) {
   return f;
 }
 
+std::size_t encoded_size(const JobSpec& job) noexcept {
+  // Mirrors encode_submit: seq, command, slot, flags, stdin, env count,
+  // then each env pair; every string carries a u32 length.
+  std::size_t size = 8 + (4 + job.command.size()) + 8 + 1 +
+                     (4 + job.stdin_data.size()) + 4;
+  for (const auto& [key, value] : job.env) {
+    size += (4 + key.size()) + (4 + value.size());
+  }
+  return size;
+}
+
 std::string encode_chunk(FrameType type, const ChunkFrame& f) {
   util::require(type == FrameType::kStdout || type == FrameType::kStderr,
                 "chunk frames are STDOUT or STDERR");
@@ -315,6 +325,31 @@ ChunkFrame decode_chunk(const Frame& frame) {
   f.data = r.str();
   r.expect_end();
   return f;
+}
+
+std::string encode_job_output(ResultFrame result, const std::string& stdout_data,
+                              const std::string& stderr_data) {
+  std::string out;
+  // The bytes encode_chunk would give, without copying each slice twice.
+  auto chunks = [&](FrameType type, const std::string& data) {
+    std::uint64_t index = 0;
+    for (std::size_t off = 0; off < data.size(); off += kChunkBytes, ++index) {
+      std::size_t size = std::min(kChunkBytes, data.size() - off);
+      WireWriter head;
+      head.u32(static_cast<std::uint32_t>(20 + size));
+      head.u8(static_cast<std::uint8_t>(type));
+      head.u64(result.seq);
+      head.u64(index);
+      head.u32(static_cast<std::uint32_t>(size));
+      out += head.bytes();
+      out.append(data, off, size);
+    }
+    return index;
+  };
+  result.stdout_chunks = chunks(FrameType::kStdout, stdout_data);
+  result.stderr_chunks = chunks(FrameType::kStderr, stderr_data);
+  out += encode_result(result);
+  return out;
 }
 
 std::string encode_result(const ResultFrame& f) {
@@ -465,28 +500,141 @@ std::optional<Frame> FrameDecoder::next() {
   if (poisoned_) throw ProtocolError("decoder poisoned by an earlier error");
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 5) return std::nullopt;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(buffer_.data()) + consumed_;
-  std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                      (static_cast<std::uint32_t>(p[1]) << 8) |
-                      (static_cast<std::uint32_t>(p[2]) << 16) |
-                      (static_cast<std::uint32_t>(p[3]) << 24);
+  WireReader prefix(buffer_.data() + consumed_, 5);
+  std::uint32_t len = prefix.u32();
+  std::uint8_t type = prefix.u8();
   if (len > kMaxFramePayload) {
     poisoned_ = true;
     throw ProtocolError("length prefix " + std::to_string(len) +
                         " exceeds the frame limit");
   }
-  if (!known_type(p[4])) {
+  if (!known_type(type)) {
     poisoned_ = true;
-    throw ProtocolError("unknown frame type " + std::to_string(int(p[4])));
+    throw ProtocolError("unknown frame type " + std::to_string(int(type)));
   }
   if (available < 5 + static_cast<std::size_t>(len)) return std::nullopt;
   Frame frame;
-  frame.type = static_cast<FrameType>(p[4]);
+  frame.type = static_cast<FrameType>(type);
   frame.payload.assign(buffer_.data() + consumed_ + 5, len);
   consumed_ += 5 + len;
   compact();
   return frame;
+}
+
+// ---------------------------------------------------------------------------
+// Channel
+// ---------------------------------------------------------------------------
+
+Channel::Channel(int read_fd, int write_fd)
+    : read_fd_(read_fd), write_fd_(write_fd), status_(Status::kOpen) {
+  util::set_nonblocking(read_fd_);
+  if (write_fd_ != read_fd_) util::set_nonblocking(write_fd_);
+}
+
+void Channel::fail(Status status) noexcept {
+  if (status_ == Status::kOpen) status_ = status;
+}
+
+std::size_t Channel::write_out(const char* data, std::size_t size) {
+  std::size_t done = 0;
+  while (ok() && done < size) {
+    ssize_t n = plain_write_
+                    ? -1
+                    : ::send(write_fd_, data + done, size - done, MSG_NOSIGNAL);
+    if (n < 0 && (plain_write_ || errno == ENOTSOCK)) {
+      // A pipe (the worker's ssh stdout); its owner ignores SIGPIPE.
+      plain_write_ = true;
+      n = ::write(write_fd_, data + done, size - done);
+    }
+    if (n >= 0) {
+      done += static_cast<std::size_t>(n);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      fail(Status::kIoError);
+    }
+  }
+  return done;
+}
+
+bool Channel::send(const std::string& frame) {
+  if (!ok()) return false;
+  if (want_write()) {
+    outbuf_ += frame;
+    return flush();
+  }
+  // Nothing queued ahead: write from the caller's bytes, copy only the rest.
+  std::size_t done = write_out(frame.data(), frame.size());
+  if (ok() && done < frame.size()) outbuf_.append(frame, done, std::string::npos);
+  return ok();
+}
+
+bool Channel::flush() {
+  out_pos_ += write_out(outbuf_.data() + out_pos_, outbuf_.size() - out_pos_);
+  if (!want_write()) {
+    outbuf_.clear();
+    out_pos_ = 0;
+  } else if (out_pos_ > 64 * 1024 && out_pos_ * 2 > outbuf_.size()) {
+    // Reclaim the written prefix once it dominates, without a memmove on
+    // every partial write of a large frame.
+    outbuf_.erase(0, out_pos_);
+    out_pos_ = 0;
+  }
+  return ok();
+}
+
+Channel::Status Channel::read(std::vector<Frame>& frames) {
+  char buffer[64 * 1024];
+  while (ok()) {
+    ssize_t n = ::read(read_fd_, buffer, sizeof(buffer));
+    if (n > 0) {
+      try {
+        decoder_.feed(buffer, static_cast<std::size_t>(n));
+        while (std::optional<Frame> frame = decoder_.next()) {
+          frames.push_back(std::move(*frame));
+        }
+      } catch (const ProtocolError&) {
+        // No resynchronization in a length-prefixed stream.
+        fail(Status::kProtocolError);
+      }
+    } else if (n == 0) {
+      fail(Status::kEof);
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      break;
+    } else if (errno != EINTR) {
+      fail(Status::kIoError);
+    }
+  }
+  return status_;
+}
+
+Channel::Status Channel::wait(int timeout_ms, std::vector<Frame>& frames) {
+  if (!ok()) return status_;
+  short out = want_write() ? POLLOUT : 0;
+  struct pollfd fds[2] = {{read_fd_, POLLIN, 0}, {write_fd_, out, 0}};
+  if (::poll(fds, 2, timeout_ms) < 0) {
+    if (errno != EINTR) fail(Status::kIoError);
+    return status_;
+  }
+  if (fds[1].revents != 0 && want_write()) flush();
+  if (fds[0].revents != 0) read(frames);
+  return status_;
+}
+
+bool Channel::drain(std::chrono::steady_clock::time_point deadline) {
+  while (flush() && want_write()) {
+    auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) break;
+    struct pollfd pfd{write_fd_, POLLOUT, 0};
+    int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready == 0) break;
+    if (ready < 0 && errno != EINTR) {
+      fail(Status::kIoError);
+      break;
+    }
+  }
+  return !want_write();
 }
 
 // ---------------------------------------------------------------------------

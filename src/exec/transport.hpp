@@ -42,6 +42,7 @@
 // tests/transport_protocol_test.cpp holds it to that under ASan).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -275,6 +276,10 @@ std::string encode_hello_ack(const HelloAckFrame& f);
 std::string encode_submit(const SubmitFrame& f);
 std::string encode_chunk(FrameType type, const ChunkFrame& f);  // kStdout/kStderr
 std::string encode_result(const ResultFrame& f);
+/// A finished job as one byte string: its STDOUT and STDERR chunk frames
+/// (cut at kChunkBytes) and then its RESULT, with the chunk counts set.
+std::string encode_job_output(ResultFrame result, const std::string& stdout_data,
+                              const std::string& stderr_data);
 std::string encode_ack(const AckFrame& f);
 std::string encode_heartbeat(const HeartbeatFrame& f);
 std::string encode_kill(const KillFrame& f);
@@ -282,6 +287,10 @@ std::string encode_drain();
 std::string encode_bye();
 std::string encode_client_hello(const ClientHelloFrame& f);
 std::string encode_reject(const RejectFrame& f);
+
+/// Bytes one job adds to a SUBMIT payload (the payload itself adds a u32
+/// job count). A batch is cut before it would pass kMaxFramePayload.
+std::size_t encoded_size(const JobSpec& job) noexcept;
 
 // Decoders parse a Frame's payload; they throw ProtocolError on any
 // truncation, overrun, or trailing garbage.
@@ -323,11 +332,77 @@ class FrameDecoder {
   bool poisoned_ = false;
 };
 
-/// Appends one encoded frame to `out` (already length-prefixed by the
-/// encode_* helpers; this exists for symmetry/readability at call sites).
-inline void append_frame(std::string& out, const std::string& encoded) {
-  out += encoded;
-}
+// ---------------------------------------------------------------------------
+// Channel: the framed endpoint behind every socket loop (server, client,
+// pilot, worker).
+// ---------------------------------------------------------------------------
+
+/// One framed byte stream over a read fd and a write fd: the same fd for a
+/// socket, stdin and stdout for an ssh-spawned worker. The constructor sets
+/// O_NONBLOCK on both, so no endpoint ever blocks in a write. With blocking
+/// writes, a pilot sending a large SUBMIT and a worker sending large RESULT
+/// chunks could each fill the other's socket buffer and wait in send()
+/// for a read that never comes. The caller keeps owning the fds and closes
+/// them.
+///
+/// send() queues a frame and writes at once until the kernel pushes back;
+/// the rest waits in the outbuf for flush(), wait() or drain(). read() takes
+/// every byte available. EOF, an I/O error and a malformed stream end the
+/// channel: the status sticks, and later calls do nothing but report it.
+class Channel {
+ public:
+  enum class Status {
+    kOpen,
+    kEof,            // the peer closed the stream
+    kIoError,        // a read or write failed (EPIPE, ECONNRESET, ...)
+    kProtocolError,  // malformed bytes; the decoder is poisoned
+  };
+
+  /// A closed channel: every call reports kIoError.
+  Channel() = default;
+  /// Throws util::SystemError when O_NONBLOCK cannot be set.
+  Channel(int read_fd, int write_fd);
+  explicit Channel(int fd) : Channel(fd, fd) {}
+
+  int read_fd() const noexcept { return read_fd_; }
+  Status status() const noexcept { return status_; }
+  bool ok() const noexcept { return status_ == Status::kOpen; }
+  /// Bytes are queued that the kernel has not taken yet (poll for POLLOUT).
+  bool want_write() const noexcept { return out_pos_ < outbuf_.size(); }
+
+  /// Queues one encoded frame (an encode_* result) and writes until EAGAIN.
+  /// Never blocks. False once the channel is not open.
+  bool send(const std::string& frame);
+  /// Writes queued bytes until none are left or EAGAIN.
+  bool flush();
+  /// Reads until EAGAIN and appends every complete frame to `frames`,
+  /// including the frames that precede an EOF or a malformed byte.
+  Status read(std::vector<Frame>& frames);
+  /// Polls for input (and for output room while bytes are queued) for up
+  /// to `timeout_ms` (-1 = no limit), then flushes and reads.
+  Status wait(int timeout_ms, std::vector<Frame>& frames);
+  /// Flushes until the outbuf is empty or `deadline` passes. True when
+  /// every queued byte was written.
+  bool drain(std::chrono::steady_clock::time_point deadline);
+
+ private:
+  /// Writes until done or EAGAIN: send(MSG_NOSIGNAL) on a socket, plain
+  /// write(2) on a pipe. Returns the bytes written.
+  std::size_t write_out(const char* data, std::size_t size);
+  void fail(Status status) noexcept;
+
+  int read_fd_ = -1;
+  int write_fd_ = -1;
+  bool plain_write_ = false;  // the write fd answered ENOTSOCK once
+  Status status_ = Status::kIoError;
+  FrameDecoder decoder_;
+  std::string outbuf_;
+  std::size_t out_pos_ = 0;  // prefix of outbuf_ already written
+};
+
+/// How long a closing endpoint keeps flushing its last frames (final
+/// RESULTs, BYE) to a slow peer before it gives up on them.
+constexpr std::chrono::seconds kFarewellFlush{5};
 
 // ---------------------------------------------------------------------------
 // Deterministic transport-fault injection (the chaos rig's frame layer).

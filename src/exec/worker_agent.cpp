@@ -1,25 +1,17 @@
 #include "exec/worker_agent.hpp"
 
-#include <errno.h>
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 
 #include "exec/local_executor.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace parcl::exec {
 
 namespace {
-
-double monotonic_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -33,30 +25,9 @@ WorkerAgent::WorkerAgent(WorkerConfig config) : config_(std::move(config)) {
 
 WorkerAgent::~WorkerAgent() = default;
 
-double WorkerAgent::now() const { return monotonic_seconds(); }
+double WorkerAgent::now() const { return util::monotonic_seconds(); }
 
-bool WorkerAgent::write_all(int fd, const std::string& bytes) {
-  if (broken_pipe_) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    // The link is a socket locally and a pipe under ssh; MSG_NOSIGNAL
-    // suppresses SIGPIPE on the former, falling back to plain write on the
-    // latter (worker_agent_main ignores SIGPIPE process-wide for that).
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-    if (n < 0 && errno == ENOTSOCK) {
-      n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      broken_pipe_ = true;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool WorkerAgent::send_hello(int fd) {
+void WorkerAgent::send_hello(transport::Channel& channel) {
   transport::HelloFrame hello;
   hello.version = config_.version;
   hello.worker_now = now();
@@ -66,36 +37,21 @@ bool WorkerAgent::send_hello(int fd) {
     hello.completed_unacked.push_back(entry.result);
     entry.last_sent = 0.0;  // fresh link: replay everything after HELLO
   }
-  return write_all(fd, transport::encode_hello(hello));
+  channel.send(transport::encode_hello(hello));
 }
 
-bool WorkerAgent::send_entry(int fd, JournalEntry& entry) {
-  std::string batch;
-  transport::ChunkFrame chunk;
-  chunk.seq = entry.result.seq;
-  for (std::size_t i = 0; i < entry.out_chunks.size(); ++i) {
-    chunk.index = i;
-    chunk.data = entry.out_chunks[i];
-    batch += transport::encode_chunk(transport::FrameType::kStdout, chunk);
-  }
-  for (std::size_t i = 0; i < entry.err_chunks.size(); ++i) {
-    chunk.index = i;
-    chunk.data = entry.err_chunks[i];
-    batch += transport::encode_chunk(transport::FrameType::kStderr, chunk);
-  }
-  batch += transport::encode_result(entry.result);
-  entry.last_sent = now();
-  return write_all(fd, batch);
-}
-
-bool WorkerAgent::send_unacked(int fd, bool force) {
+void WorkerAgent::send_unacked(transport::Channel& channel, bool force) {
   double resend_age = config_.resend_after_beats * config_.heartbeat_interval;
   for (auto& [seq, entry] : journal_) {
+    // A retransmit waits for an empty outbuf, so a pilot that stopped
+    // reading cannot make the agent queue the same entry again and again.
     bool due = entry.last_sent == 0.0 || force ||
-               now() - entry.last_sent >= resend_age;
-    if (due && !send_entry(fd, entry)) return false;
+               (now() - entry.last_sent >= resend_age && !channel.want_write());
+    if (!due) continue;
+    entry.last_sent = now();
+    channel.send(transport::encode_job_output(entry.result, entry.stdout_data,
+                                              entry.stderr_data));
   }
-  return true;
 }
 
 void WorkerAgent::journal_completion(core::ExecResult&& result) {
@@ -106,18 +62,13 @@ void WorkerAgent::journal_completion(core::ExecResult&& result) {
   entry.result.term_signal = result.term_signal;
   entry.result.start_time = result.start_time;
   entry.result.end_time = result.end_time;
-  for (std::size_t off = 0; off < result.stdout_data.size();
-       off += transport::kChunkBytes) {
-    entry.out_chunks.push_back(
-        result.stdout_data.substr(off, transport::kChunkBytes));
-  }
-  for (std::size_t off = 0; off < result.stderr_data.size();
-       off += transport::kChunkBytes) {
-    entry.err_chunks.push_back(
-        result.stderr_data.substr(off, transport::kChunkBytes));
-  }
-  entry.result.stdout_chunks = entry.out_chunks.size();
-  entry.result.stderr_chunks = entry.err_chunks.size();
+  auto chunks = [](const std::string& data) {
+    return (data.size() + transport::kChunkBytes - 1) / transport::kChunkBytes;
+  };
+  entry.result.stdout_chunks = chunks(result.stdout_data);
+  entry.result.stderr_chunks = chunks(result.stderr_data);
+  entry.stdout_data = std::move(result.stdout_data);
+  entry.stderr_data = std::move(result.stderr_data);
   journal_[entry.result.seq] = std::move(entry);
 }
 
@@ -138,7 +89,9 @@ void WorkerAgent::handle_submit(const transport::Frame& frame) {
     request.command = std::move(job.command);
     request.slot = job.slot;
     request.use_shell = job.use_shell;
-    request.capture_output = job.capture_output;
+    // Always capture: under ssh the agent's stdout is the frame stream, and
+    // a job that inherited it would write straight into the protocol.
+    request.capture_output = true;
     request.has_stdin = job.has_stdin;
     request.stdin_data = std::move(job.stdin_data);
     for (auto& [key, value] : job.env) request.env[key] = value;
@@ -185,9 +138,8 @@ void WorkerAgent::crash_now() {
 }
 
 WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
-  broken_pipe_ = false;
   draining_ = false;
-  transport::FrameDecoder decoder;
+  transport::Channel channel(read_fd, write_fd);
   double last_beat_at = now();
 
   auto hung = [this] {
@@ -199,9 +151,9 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
            total_starts_ >= config_.faults.crash_after_starts;
   };
 
-  if (!hung() && !send_hello(write_fd)) return ServeOutcome::kConnectionLost;
+  if (!hung()) send_hello(channel);
 
-  char buffer[64 * 1024];
+  std::vector<transport::Frame> frames;
   while (true) {
     pump_inner();
     if (crash_due()) {
@@ -209,61 +161,45 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
       return ServeOutcome::kCrashed;
     }
     if (!hung()) {
-      if (!send_unacked(write_fd, /*force=*/false)) {
-        return ServeOutcome::kConnectionLost;
-      }
+      send_unacked(channel, /*force=*/false);
       if (now() - last_beat_at >= config_.heartbeat_interval) {
         transport::HeartbeatFrame beat;
         beat.beat = ++beat_;
         beat.worker_now = now();
         beat.running = running_.size();
-        if (!write_all(write_fd, transport::encode_heartbeat(beat))) {
-          return ServeOutcome::kConnectionLost;
-        }
+        channel.send(transport::encode_heartbeat(beat));
         last_beat_at = now();
       }
       if (draining_ && running_.empty()) {
         // Final replay so nothing unacked is stranded, then farewell.
-        if (!send_unacked(write_fd, /*force=*/true)) {
-          return ServeOutcome::kConnectionLost;
-        }
-        write_all(write_fd, transport::encode_bye());
+        send_unacked(channel, /*force=*/true);
+        channel.send(transport::encode_bye());
+        channel.drain(std::chrono::steady_clock::now() + transport::kFarewellFlush);
         return ServeOutcome::kDrained;
       }
     }
-
-    struct pollfd pfd{read_fd, POLLIN, 0};
+    frames.clear();
     int timeout_ms = (!running_.empty() || !journal_.empty()) ? 2 : 25;
-    int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0 && errno != EINTR) return ServeOutcome::kConnectionLost;
-    if (rc <= 0 || (pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    ssize_t n = ::read(read_fd, buffer, sizeof(buffer));
-    if (n == 0) return ServeOutcome::kConnectionLost;
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return ServeOutcome::kConnectionLost;
-    }
-    if (hung()) continue;  // wedged agent: bytes vanish into the void
-
+    transport::Channel::Status status = channel.wait(timeout_ms, frames);
+    if (hung()) frames.clear();  // wedged agent: bytes vanish into the void
     try {
-      decoder.feed(buffer, static_cast<std::size_t>(n));
-      while (std::optional<transport::Frame> frame = decoder.next()) {
-        switch (frame->type) {
+      for (const transport::Frame& frame : frames) {
+        switch (frame.type) {
           case transport::FrameType::kHelloAck: {
-            transport::HelloAckFrame ack = transport::decode_hello_ack(*frame);
+            transport::HelloAckFrame ack = transport::decode_hello_ack(frame);
             if (ack.version != config_.version) {
               return ServeOutcome::kProtocolError;
             }
             break;
           }
           case transport::FrameType::kSubmit:
-            handle_submit(*frame);
+            handle_submit(frame);
             break;
           case transport::FrameType::kKill:
-            handle_kill(*frame);
+            handle_kill(frame);
             break;
           case transport::FrameType::kAck:
-            handle_ack(*frame);
+            handle_ack(frame);
             break;
           case transport::FrameType::kDrain:
             draining_ = true;
@@ -273,11 +209,16 @@ WorkerAgent::ServeOutcome WorkerAgent::serve(int read_fd, int write_fd) {
             // corrupt or the peer is confused.
             throw transport::ProtocolError(
                 std::string("unexpected frame for worker: ") +
-                transport::to_string(frame->type));
+                transport::to_string(frame.type));
         }
       }
     } catch (const transport::ProtocolError&) {
       return ServeOutcome::kProtocolError;
+    }
+    if (status != transport::Channel::Status::kOpen) {
+      return status == transport::Channel::Status::kProtocolError
+                 ? ServeOutcome::kProtocolError
+                 : ServeOutcome::kConnectionLost;
     }
   }
 }

@@ -71,9 +71,9 @@ class WorkerAgent {
   WorkerAgent& operator=(const WorkerAgent&) = delete;
 
   /// Serves one pilot connection on the given descriptors (they may be the
-  /// same fd, e.g. one end of a socketpair) until drain, disconnect, or a
-  /// scripted fault. Reattach = call serve() again with fresh fds: the
-  /// journal and running children carry over.
+  /// same fd, e.g. one end of a socketpair; both are set O_NONBLOCK) until
+  /// drain, disconnect, or a scripted fault. Reattach = call serve() again
+  /// with fresh fds: the journal and running children carry over.
   ServeOutcome serve(int read_fd, int write_fd);
 
   /// Jobs started over the agent's lifetime (fault-threshold bookkeeping
@@ -85,15 +85,15 @@ class WorkerAgent {
  private:
   struct JournalEntry {
     transport::ResultFrame result;
-    std::vector<std::string> out_chunks;
-    std::vector<std::string> err_chunks;
+    std::string stdout_data;
+    std::string stderr_data;
     double last_sent = 0.0;  // agent clock; 0 = never sent on this link
   };
 
-  bool write_all(int fd, const std::string& bytes);
-  bool send_hello(int fd);
-  bool send_entry(int fd, JournalEntry& entry);
-  bool send_unacked(int fd, bool force);
+  void send_hello(transport::Channel& channel);
+  /// Sends journal entries never sent on this link, and retransmits the
+  /// ones due (all of them with `force`).
+  void send_unacked(transport::Channel& channel, bool force);
   void handle_submit(const transport::Frame& frame);
   void handle_kill(const transport::Frame& frame);
   void handle_ack(const transport::Frame& frame);
@@ -110,7 +110,6 @@ class WorkerAgent {
   std::uint64_t total_starts_ = 0;
   std::uint64_t beat_ = 0;
   bool draining_ = false;
-  bool broken_pipe_ = false;
 };
 
 /// Entry point for `parcl --worker`: serves the pilot on stdin/stdout until

@@ -1,9 +1,18 @@
-// Wall-clock stopwatch for the real-execution benches.
+// Monotonic time: the shared seconds clock and a stopwatch for the
+// real-execution benches.
 #pragma once
 
 #include <chrono>
 
 namespace parcl::util {
+
+/// Seconds on the steady (CLOCK_MONOTONIC) clock: the one timebase of the
+/// executors, the pilot channel and the server loop.
+inline double monotonic_seconds() noexcept {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 class Stopwatch {
  public:

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 
 #include "util/strings.hpp"
@@ -511,6 +512,94 @@ TEST(ParclCli, PilotTransportKeepsTheJoblogExactlyOnce) {
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(parcl::util::split_lines(content).size(), 6u) << content;
   std::remove(log_path.c_str());
+}
+
+// Writes at least `bytes` of seeded text lines (the CI byte-identity input:
+// letters, blanks, tabs and CRs) to a temp file and returns its path.
+std::string seeded_lines_file(const std::string& name, std::size_t bytes) {
+  const std::string path = ::testing::TempDir() + name;
+  std::mt19937_64 rng(14);
+  const std::string alphabet = "abcdefghij \t\r";
+  std::string text;
+  while (text.size() < bytes) {
+    std::size_t length = rng() % 201;
+    for (std::size_t i = 0; i < length; ++i) text += alphabet[rng() % alphabet.size()];
+    text += '\n';
+  }
+  std::ofstream(path, std::ios::binary) << text;
+  return path;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ParclCli, PilotPipeBlocksFlowBothWaysWithoutDeadlock) {
+  // Four 128 KiB blocks per SUBMIT toward the worker while it streams RESULT
+  // chunks back: more than either socket buffer holds in each direction.
+  // With blocking writes on both ends this run hung for ever.
+  const std::string in = seeded_lines_file("parcl_pilot_pipe_in.txt", 16u << 20);
+  const std::string out = ::testing::TempDir() + "parcl_pilot_pipe_out.txt";
+  CommandResult result = run_command(
+      "(timeout 60 " + parcl() + " -S 4/: --pilot --pipe -k --block 128k cat < " +
+      in + " > " + out + ")");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_TRUE(file_bytes(in) == file_bytes(out)) << "output differs from input";
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(ParclCli, PilotSubmitBatchesAreCutBelowTheFrameLimit) {
+  // Thirty-two 1 MiB blocks queue before the first flush: one SUBMIT would
+  // pass the 16 MiB frame limit, so the batch is cut into several frames.
+  const std::string in = seeded_lines_file("parcl_pilot_batch_in.txt", 16u << 20);
+  const std::string out = ::testing::TempDir() + "parcl_pilot_batch_out.txt";
+  CommandResult result = run_command(
+      "(timeout 60 " + parcl() + " -S 32/: --pilot --pipe -k --block 1M cat < " +
+      in + " > " + out + ")");
+  EXPECT_EQ(result.exit_code, 0) << result.output;
+  EXPECT_TRUE(file_bytes(in) == file_bytes(out)) << "output differs from input";
+  std::remove(in.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(ParclCli, PilotJobOverTheFrameLimitFailsAlone) {
+  // A 20 MiB block cannot travel in any SUBMIT frame: that job fails with
+  // exit 255 and one diagnostic, and the next block still runs on the same
+  // host.
+  const std::string in = seeded_lines_file("parcl_pilot_huge_in.txt", 22u << 20);
+  const std::string out = ::testing::TempDir() + "parcl_pilot_huge_out.txt";
+  const std::string log_path = ::testing::TempDir() + "parcl_pilot_huge_log.tsv";
+  std::remove(log_path.c_str());
+  CommandResult result = run_command(
+      "(timeout 60 " + parcl() + " -S 1/: --pilot --pipe --block 20M --joblog " +
+      log_path + " cat < " + in + " > " + out + ")");
+  EXPECT_EQ(result.exit_code, 1) << result.output;  // one failed job
+  std::vector<std::string> lines = parcl::util::split_lines(result.output);
+  ASSERT_EQ(lines.size(), 1u) << result.output;
+  EXPECT_NE(lines[0].find("16 MiB frame limit"), std::string::npos) << lines[0];
+  const std::string input = file_bytes(in);
+  const std::string output = file_bytes(out);
+  ASSERT_FALSE(output.empty());
+  ASSERT_LT(output.size(), input.size());
+  EXPECT_TRUE(input.compare(input.size() - output.size(), output.size(), output) == 0)
+      << "the second block must come through intact";
+  std::vector<std::string> rows = parcl::util::split_lines(file_bytes(log_path));
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_NE(rows[1].find("\t255\t0\t"), std::string::npos) << rows[1];
+  EXPECT_NE(rows[2].find("\t0\t0\t"), std::string::npos) << rows[2];
+  for (const std::string& path : {in, out, log_path}) std::remove(path.c_str());
+}
+
+TEST(ParclCli, PilotRefusesUngroupedOutput) {
+  // A worker agent always captures job output; -u cannot be honoured.
+  CommandResult result = run_command(
+      "timeout 10 " + parcl() + " -u -S 2/: --pilot echo hello ::: a b c");
+  EXPECT_EQ(result.exit_code, 255) << result.output;
+  EXPECT_NE(result.output.find("--ungroup"), std::string::npos) << result.output;
+  EXPECT_EQ(result.output.find("hello"), std::string::npos) << result.output;
 }
 
 // ---------------------------------------------------------------------------

@@ -252,6 +252,23 @@ TEST(Cli, PilotRequiresHostsAndValidFlags) {
   EXPECT_THROW(parse({"--reconnect", "0", "cmd", ":::", "x"}), util::ParseError);
 }
 
+TEST(Cli, PilotRefusesUngroupedOutput) {
+  // A worker agent always captures job output, so -u could not hold.
+  EXPECT_THROW(parse({"-u", "-S", "2/:", "--pilot", "echo", ":::", "a"}),
+               util::ConfigError);
+  EXPECT_THROW(parse({"--ungroup", "-S", "2/:", "--pilot", "echo", ":::", "a"}),
+               util::ConfigError);
+  EXPECT_NO_THROW(parse({"-u", "-S", "2/:", "echo", ":::", "a"}));
+  EXPECT_NO_THROW(parse({"-S", "2/:", "--pilot", "echo", ":::", "a"}));
+}
+
+TEST(Cli, ClientRefusesPipe) {
+  // --pipe blocks would never reach the server: every input byte was lost.
+  EXPECT_THROW(parse({"--client", "--socket", "S", "--pipe", "wc", "-l"}),
+               util::ConfigError);
+  EXPECT_NO_THROW(parse({"--client", "--socket", "S", "wc", ":::", "x"}));
+}
+
 TEST(Cli, WorkerModeIsBareAndExclusive) {
   RunPlan plan = parse({"--worker"});
   EXPECT_TRUE(plan.worker_mode);

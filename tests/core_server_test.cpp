@@ -269,7 +269,7 @@ class ServerCoreTest : public ::testing::Test {
          {std::string("intake.journal"), std::string("ledger.joblog")}) {
       std::remove((dir_ + "/" + name).c_str());
     }
-    for (const std::string& tenant : {"default", "alice", "bob", "mallory"}) {
+    for (const char* tenant : {"default", "alice", "bob", "mallory"}) {
       std::remove(ServerCore::tenant_joblog_path(dir_, tenant).c_str());
     }
     rmdir(dir_.c_str());

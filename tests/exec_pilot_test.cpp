@@ -6,6 +6,8 @@
 #include "exec/pilot_executor.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <map>
@@ -20,6 +22,7 @@
 #include "exec/transport.hpp"
 #include "exec/worker_agent.hpp"
 #include "util/error.hpp"
+#include "util/stopwatch.hpp"
 
 namespace parcl::exec {
 namespace {
@@ -156,6 +159,61 @@ TEST(PilotExecutor, StdinReachesTheJob) {
   std::vector<core::ExecResult> results = collect(pilot, 1);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].stdout_data, "line1\nline2\n");
+}
+
+TEST(WorkerAgent, UncapturedJobStillReturnsAValidResult) {
+  // Under ssh the agent's stdout is the frame stream, so the agent captures
+  // every job, even one submitted with capture_output=false: its output
+  // comes back in STDOUT chunks instead of landing inside the protocol.
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv), 0);
+  WorkerConfig config;  // the production LocalExecutor runs the job
+  config.heartbeat_interval = 0.05;
+  WorkerAgent agent(config);
+  WorkerAgent::ServeOutcome outcome = WorkerAgent::ServeOutcome::kCrashed;
+  std::thread serving([&] { outcome = agent.serve(sv[1], sv[1]); });
+
+  transport::Channel pilot(sv[0]);
+  std::vector<transport::Frame> inbox;
+  auto next = [&](transport::FrameType type) -> std::optional<transport::Frame> {
+    double deadline = util::monotonic_seconds() + 10.0;
+    while (util::monotonic_seconds() < deadline) {
+      for (auto it = inbox.begin(); it != inbox.end(); ++it) {
+        if (it->type != type) continue;  // heartbeats and the like
+        transport::Frame frame = std::move(*it);
+        inbox.erase(inbox.begin(), it + 1);
+        return frame;
+      }
+      if (pilot.wait(10, inbox) != transport::Channel::Status::kOpen) break;
+    }
+    return std::nullopt;
+  };
+  ASSERT_TRUE(next(transport::FrameType::kHello).has_value());
+  pilot.send(transport::encode_hello_ack({}));
+  transport::JobSpec job;
+  job.seq = 1;
+  job.command = "echo uncaptured";
+  job.capture_output = false;
+  pilot.send(transport::encode_submit({{job}}));
+
+  std::optional<transport::Frame> chunk = next(transport::FrameType::kStdout);
+  std::optional<transport::Frame> result = next(transport::FrameType::kResult);
+  ASSERT_TRUE(chunk.has_value());
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(transport::decode_chunk(*chunk).data, "uncaptured\n");
+  transport::ResultFrame done = transport::decode_result(*result);
+  EXPECT_EQ(done.seq, 1u);
+  EXPECT_EQ(done.exit_code, 0);
+  EXPECT_EQ(done.stdout_chunks, 1u);
+
+  pilot.send(transport::encode_ack({{1}}));
+  pilot.send(transport::encode_drain());
+  EXPECT_TRUE(next(transport::FrameType::kBye).has_value());
+  serving.join();
+  EXPECT_EQ(outcome, WorkerAgent::ServeOutcome::kDrained);
+  EXPECT_EQ(agent.journal_size(), 0u);
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(PilotExecutor, KillBeforeFlushCompletesLocally) {
@@ -367,7 +425,7 @@ std::unique_ptr<MultiExecutor> pilot_cluster_for(
     HealthPolicy policy, std::vector<WorkerFaults> faults = {}) {
   std::vector<HostSpec> hosts;
   for (std::size_t k = 0; k < ledgers.size(); ++k) {
-    hosts.push_back({"pilot" + std::to_string(k + 1), 2, ""});
+    hosts.push_back({"pilot" + std::to_string(k + 1), 2, "", ""});
   }
   std::size_t next = 0;
   return std::make_unique<MultiExecutor>(
@@ -463,7 +521,7 @@ TEST(MultiExecutorPilot, TransportProbeReinstatesAfterCrash) {
   HealthPolicy policy;
   policy.quarantine_after = 1;  // first loss condemns
   policy.probe_interval = 0.05;
-  std::vector<HostSpec> hosts{{"solo", 2, ""}};
+  std::vector<HostSpec> hosts{{"solo", 2, "", ""}};
   auto transport = std::make_unique<ThreadWorkerTransport>(fast_worker(&ledger));
   transport->script_attach({ThreadWorkerTransport::Attach::kHang});
   ThreadWorkerTransport* raw = transport.get();

@@ -2,11 +2,16 @@
 // (exec/transport): round-trips for every frame type, rejection of
 // truncated frames, oversized length prefixes, unknown types, trailing
 // garbage, version-mismatch handshakes, and a seeded fuzz loop that must
-// never crash or over-read (run under ASan in the sanitize CI tier).
+// never crash or over-read (run under ASan in the sanitize CI tier). The
+// Channel suite drives the nonblocking framed endpoint over real sockets
+// and pipes.
 #include "exec/transport.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -492,6 +497,211 @@ TEST(TransportFuzz, ProtectedFramesSurviveTheFilter) {
   EXPECT_EQ(out[0].type, FrameType::kHello);
   EXPECT_EQ(out[1].type, FrameType::kBye);
   EXPECT_EQ(filter.counters().dropped, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Size helpers.
+// ---------------------------------------------------------------------------
+
+TEST(TransportCodec, EncodedSizeMatchesSubmitBytes) {
+  SubmitFrame submit = sample_submit();
+  std::size_t payload = 4;
+  for (const JobSpec& job : submit.jobs) payload += encoded_size(job);
+  EXPECT_EQ(encode_submit(submit).size(), 5 + payload);
+}
+
+TEST(TransportCodec, JobOutputEqualsChunkFramesThenResult) {
+  for (std::size_t out_size : {std::size_t{0}, std::size_t{1}, kChunkBytes,
+                               2 * kChunkBytes + 3}) {
+    std::string out(out_size, 'o');
+    std::string err(out_size / 2 + 1, 'e');
+    ResultFrame result;
+    result.seq = 9;
+    result.exit_code = 4;
+    std::string expected;
+    ChunkFrame chunk;
+    chunk.seq = 9;
+    for (std::size_t off = 0; off < out.size(); off += kChunkBytes) {
+      chunk.data = out.substr(off, kChunkBytes);
+      expected += encode_chunk(FrameType::kStdout, chunk);
+      ++chunk.index;
+      ++result.stdout_chunks;
+    }
+    chunk.index = 0;
+    for (std::size_t off = 0; off < err.size(); off += kChunkBytes) {
+      chunk.data = err.substr(off, kChunkBytes);
+      expected += encode_chunk(FrameType::kStderr, chunk);
+      ++chunk.index;
+      ++result.stderr_chunks;
+    }
+    expected += encode_result(result);
+    ResultFrame bare = result;
+    bare.stdout_chunks = bare.stderr_chunks = 0;  // counted by the encoder
+    EXPECT_EQ(encode_job_output(bare, out, err), expected) << out_size;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Channel: the nonblocking framed endpoint.
+// ---------------------------------------------------------------------------
+
+struct SocketPair {
+  int fds[2] = {-1, -1};
+  SocketPair() {
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  }
+  ~SocketPair() {
+    for (int fd : fds) {
+      if (fd >= 0) ::close(fd);
+    }
+  }
+};
+
+std::string big_chunk(std::size_t bytes, std::uint64_t seq = 1) {
+  ChunkFrame chunk;
+  chunk.seq = seq;
+  chunk.data.resize(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) chunk.data[i] = static_cast<char>('a' + i % 26);
+  return encode_chunk(FrameType::kStdout, chunk);
+}
+
+// Pumps both channels until `rx` has `count` frames (or a deadline passes).
+std::vector<Frame> pump_until(Channel& tx, Channel& rx, std::size_t count) {
+  std::vector<Frame> frames;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (frames.size() < count && std::chrono::steady_clock::now() < deadline) {
+    tx.flush();
+    rx.wait(5, frames);
+  }
+  return frames;
+}
+
+TEST(TransportChannel, SendNeverBlocksOnAFullSocket) {
+  SocketPair pair;
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  ASSERT_EQ(::setsockopt(pair.fds[1], SOL_SOCKET, SO_RCVBUF, &small, sizeof(small)), 0);
+  Channel tx(pair.fds[0]);
+  Channel rx(pair.fds[1]);
+  const std::string frame = big_chunk(1 << 20);  // far above both buffers
+  auto started = std::chrono::steady_clock::now();
+  EXPECT_TRUE(tx.send(frame));  // nobody reads yet: a blocking write would hang
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(1));
+  EXPECT_TRUE(tx.want_write());
+  std::vector<Frame> frames = pump_until(tx, rx, 1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(decode_chunk(frames[0]).data.size(), std::size_t{1} << 20);
+  EXPECT_EQ(frames[0].payload, frame.substr(5));
+  EXPECT_FALSE(tx.want_write());
+  EXPECT_TRUE(tx.ok());
+  EXPECT_TRUE(rx.ok());
+}
+
+TEST(TransportChannel, FramesSplitAtEveryByteDecodeInOrder) {
+  std::string stream = encode_hello(sample_hello());
+  stream += encode_submit(sample_submit());
+  stream += encode_bye();
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    SocketPair pair;
+    Channel rx(pair.fds[1]);
+    std::vector<Frame> frames;
+    ASSERT_EQ(::write(pair.fds[0], stream.data(), cut), static_cast<ssize_t>(cut));
+    EXPECT_EQ(rx.read(frames), Channel::Status::kOpen);
+    ASSERT_EQ(::write(pair.fds[0], stream.data() + cut, stream.size() - cut),
+              static_cast<ssize_t>(stream.size() - cut));
+    EXPECT_EQ(rx.read(frames), Channel::Status::kOpen);
+    ASSERT_EQ(frames.size(), 3u) << "cut at " << cut;
+    EXPECT_EQ(frames[0].type, FrameType::kHello);
+    EXPECT_EQ(frames[1].type, FrameType::kSubmit);
+    EXPECT_EQ(frames[2].type, FrameType::kBye);
+    EXPECT_EQ(decode_submit(frames[1]).jobs.size(), 2u);
+  }
+}
+
+TEST(TransportChannel, EofAndPoisonComeBackAsStatus) {
+  {
+    SocketPair pair;
+    Channel rx(pair.fds[1]);
+    std::string bye = encode_bye();
+    ASSERT_EQ(::write(pair.fds[0], bye.data(), bye.size()), static_cast<ssize_t>(bye.size()));
+    ::close(pair.fds[0]);
+    pair.fds[0] = -1;
+    std::vector<Frame> frames;
+    EXPECT_EQ(rx.wait(1000, frames), Channel::Status::kEof);
+    ASSERT_EQ(frames.size(), 1u);  // the frame before the EOF still arrives
+    EXPECT_EQ(frames[0].type, FrameType::kBye);
+    EXPECT_FALSE(rx.send(encode_bye()));  // the status sticks
+  }
+  {
+    SocketPair pair;
+    Channel rx(pair.fds[1]);
+    std::string bytes = encode_drain();
+    bytes += std::string("\x01\x00\x00\x00\xee", 5);  // unknown type byte
+    ASSERT_EQ(::write(pair.fds[0], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    std::vector<Frame> frames;
+    EXPECT_EQ(rx.wait(1000, frames), Channel::Status::kProtocolError);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].type, FrameType::kDrain);
+    EXPECT_EQ(rx.read(frames), Channel::Status::kProtocolError);
+  }
+  {
+    SocketPair pair;
+    Channel tx(pair.fds[0]);
+    ::close(pair.fds[1]);
+    pair.fds[1] = -1;
+    // MSG_NOSIGNAL: a vanished peer is an error status, not a SIGPIPE.
+    EXPECT_FALSE(tx.send(big_chunk(1024)));
+    EXPECT_EQ(tx.status(), Channel::Status::kIoError);
+  }
+}
+
+TEST(TransportChannel, DrainGivesUpAtItsDeadline) {
+  SocketPair pair;
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(pair.fds[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)), 0);
+  Channel tx(pair.fds[0]);
+  tx.send(big_chunk(1 << 20));  // the peer never reads
+  auto started = std::chrono::steady_clock::now();
+  EXPECT_FALSE(tx.drain(started + std::chrono::milliseconds(50)));
+  EXPECT_LT(std::chrono::steady_clock::now() - started, std::chrono::seconds(2));
+  EXPECT_TRUE(tx.want_write());
+  EXPECT_TRUE(tx.ok());
+}
+
+TEST(TransportChannel, PipePairCarriesBothDirectionsAtOnce) {
+  // The ssh-spawned worker reads stdin and writes stdout: two fds per end.
+  // Both ends send more than a pipe holds before either reads, which is the
+  // shape that deadlocked blocking writes.
+  int up[2];
+  int down[2];
+  ASSERT_EQ(::pipe(up), 0);
+  ASSERT_EQ(::pipe(down), 0);
+  {
+    Channel pilot(/*read_fd=*/up[0], /*write_fd=*/down[1]);
+    Channel worker(/*read_fd=*/down[0], /*write_fd=*/up[1]);
+    const std::string submit = big_chunk(512 * 1024, 1);
+    const std::string result = big_chunk(768 * 1024, 2);
+    EXPECT_TRUE(pilot.send(submit));
+    EXPECT_TRUE(worker.send(result));
+    EXPECT_TRUE(pilot.send(encode_drain()));
+    std::vector<Frame> at_worker;
+    std::vector<Frame> at_pilot;
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((at_worker.size() < 2 || at_pilot.size() < 1) &&
+           std::chrono::steady_clock::now() < deadline) {
+      worker.wait(5, at_worker);
+      pilot.wait(5, at_pilot);
+    }
+    ASSERT_EQ(at_worker.size(), 2u);
+    ASSERT_EQ(at_pilot.size(), 1u);
+    EXPECT_EQ(at_worker[0].payload, submit.substr(5));
+    EXPECT_EQ(at_worker[1].type, FrameType::kDrain);
+    EXPECT_EQ(at_pilot[0].payload, result.substr(5));
+    EXPECT_TRUE(pilot.ok());
+    EXPECT_TRUE(worker.ok());
+  }
+  for (int fd : {up[0], up[1], down[0], down[1]}) ::close(fd);
 }
 
 }  // namespace
